@@ -20,23 +20,9 @@ use crate::dominators::Dominators;
 use crate::loops::LoopForest;
 use crate::range::{Interval, ValueRanges};
 use gen_isa::{DecodeError, KernelBinary, OpcodeCategory, NUM_GRF};
+use gtpin_obs::frame::fnv64;
 use serde::json::{Number, Value};
 use std::fmt::Write as _;
-
-/// FNV-1a offset basis (the workspace-wide digest convention).
-const FNV_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a over a byte slice.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// One loop in the forest, report-shaped.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,6 +25,10 @@
 //! A failing scenario is shrunk ([`shrink_scenario`]) to a minimal
 //! `(seed, site-set, kill-point)` triple before it is reported.
 //!
+//! Beside the generator sits a fixed [`corpus`]: one hand-built
+//! scenario per recovery path, each with an [`Expect`] contract,
+//! judged by [`self_test`] (`gtpin chaos --self-test`).
+//!
 //! The chaos run itself honors the same standards it enforces: with
 //! `--journal` each completed scenario's summary is durable, and a
 //! killed run resumed with `--resume` skips finished scenarios and
@@ -33,17 +37,20 @@
 //! count explicitly, so the digest is also independent of the
 //! ambient `GTPIN_THREADS`.
 
+pub mod corpus;
 pub mod scenario;
 pub mod shrink;
 pub mod trial;
 
+pub use corpus::{Expect, Fired};
 pub use scenario::{OracleKind, Scenario, POOL_LOSSY, POOL_RESUME_SAFE, RATE_LADDER};
 pub use shrink::shrink_scenario;
-pub use trial::{fnv_fold, run_trial, TrialReport, DEFAULT_MAX_RESTARTS};
+pub use trial::{run_trial, TrialReport, DEFAULT_MAX_RESTARTS};
 
 use std::path::PathBuf;
 
 use gtpin_durable::Journal;
+use gtpin_obs::frame::{fnv_fold, FNV_BASIS};
 use serde::{Deserialize, Serialize};
 
 /// Env knob: base seed for `gtpin chaos` (strict-parsed by
@@ -233,7 +240,7 @@ pub fn run_chaos(config: &ChaosConfig) -> Result<ChaosReport, ChaosError> {
         scenarios.push(record);
     }
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_BASIS;
     for record in &scenarios {
         digest = fnv_fold(digest, record.line.as_bytes());
         digest = fnv_fold(digest, &record.digest.to_le_bytes());
@@ -257,7 +264,9 @@ fn run_one(seed: u64, config: &ChaosConfig) -> ScenarioRecord {
         span.arg_u64("threads", sc.threads as u64);
     }
     gtpin_obs::counter_add("chaos.scenarios", 1);
-    let report = run_trial(&sc, config.max_restarts, &config.scratch);
+    // Derived scenarios are judged by the generic oracles alone.
+    let generic = Expect::default();
+    let report = run_trial(&sc, &generic, config.max_restarts, &config.scratch);
     let shrunk = if report.passed() {
         None
     } else {
@@ -265,7 +274,7 @@ fn run_one(seed: u64, config: &ChaosConfig) -> ScenarioRecord {
         // Minimize before reporting: re-run the trial on each
         // candidate and keep edits that still violate an oracle.
         let minimal = shrink_scenario(&sc, |candidate| {
-            !run_trial(candidate, config.max_restarts, &config.scratch).passed()
+            !run_trial(candidate, &generic, config.max_restarts, &config.scratch).passed()
         });
         Some(minimal.describe())
     };
@@ -278,11 +287,24 @@ fn run_one(seed: u64, config: &ChaosConfig) -> ScenarioRecord {
     }
 }
 
-/// Run the built-in shrinker self-test: derive a scenario, force a
-/// synthetic single-site failure predicate, and check the shrinker
-/// reduces it to exactly that site. Returns the deterministic
-/// summary line and whether the contract held.
+/// Run the built-in self-test, what `gtpin chaos --self-test`
+/// prints: the shrinker self-test followed by every entry of the
+/// fault corpus ([`corpus`]) judged against its contract, ending with a
+/// `corpus: N entries, M violations` line. Returns the rendering and
+/// whether everything held.
 pub fn self_test() -> (String, bool) {
+    let (line, shrunk) = shrink_self_test();
+    let scratch = trial::default_scratch();
+    let (rendered, violations) = corpus::run_corpus(DEFAULT_MAX_RESTARTS, &scratch);
+    let _ = std::fs::remove_dir_all(&scratch);
+    (format!("{line}\n{rendered}"), shrunk && violations == 0)
+}
+
+/// The shrinker self-test: derive a scenario, force a synthetic
+/// single-site failure predicate, and check the shrinker reduces it
+/// to exactly that site. Returns the deterministic summary line and
+/// whether the contract held.
+fn shrink_self_test() -> (String, bool) {
     // Find a derived scenario arming at least two sites so shrinking
     // has work to do; seed the predicate on its first armed site.
     let sc = (0..512u64)
@@ -307,13 +329,13 @@ pub fn self_test() -> (String, bool) {
 mod tests {
     use super::*;
 
-    /// The chaos self-test: demonstrates on a synthetic predicate
+    /// The shrinker self-test: demonstrates on a synthetic predicate
     /// that the shrinker reduces a seeded multi-site failure to a
-    /// single-site minimal form — the contract `gtpin chaos
+    /// single-site minimal form — the first line `gtpin chaos
     /// --self-test` prints.
     #[test]
     fn self_test_shrinks_synthetic_failure_to_single_site() {
-        let (line, ok) = self_test();
+        let (line, ok) = shrink_self_test();
         assert!(ok, "self-test failed: {line}");
         assert!(
             line.contains("sites [") && line.contains("shrunk"),

@@ -190,7 +190,9 @@ impl Scenario {
         let sites: Vec<String> = self
             .sites
             .iter()
-            .map(|(s, r)| format!("{s}@{r:.1}"))
+            // Shortest exact form: ladder steps print as `0.2`, a
+            // hand-built corpus rate as `0.05` (never rounded).
+            .map(|(s, r)| format!("{s}@{r:?}"))
             .collect();
         format!(
             "seed {:#06x} oracle {} threads {} kill {} explore {} sites [{}]",

@@ -18,6 +18,10 @@
 //!    session journal) and must reproduce the uninterrupted pass's
 //!    responses and supervisor trajectory byte-for-byte.
 //!
+//! A corpus [`Expect`] can add one more pass: the same scenario with
+//! injection disabled, whose stage outputs the reference must equal.
+//! It is judged, never folded into the digest.
+//!
 //! Everything folded into the trial digest is a pure function of the
 //! scenario, so `gtpin chaos` prints one digest that is identical at
 //! any `GTPIN_THREADS` and across a mid-run kill/resume of the chaos
@@ -29,26 +33,19 @@ use std::path::{Path, PathBuf};
 use gpu_device::GpuConfig;
 use gtpin_durable::JournalError;
 use gtpin_faults::site;
+use gtpin_obs::frame::{fnv_fold, FNV_BASIS};
 use gtpin_serve::wire::Request;
 use gtpin_serve::{ServeConfig, SessionEngine};
 use ocl_runtime::host::HostProgram;
 use subset_select::{profile_app, run_sweep, SweepOptions};
 use workloads::{all_specs, build_program, Scale};
 
+use crate::corpus::{Expect, Fired};
 use crate::scenario::{OracleKind, Scenario};
 
 /// Default restart budget for the sweep crash/resume loop
 /// (`GTPIN_CHAOS_MAX_RESTARTS` overrides).
 pub const DEFAULT_MAX_RESTARTS: u64 = 200;
-
-/// FNV-1a fold, matching the digest idiom of the CLI drivers.
-pub fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
 
 /// The judged result of one scenario trial.
 #[derive(Debug, Clone)]
@@ -84,6 +81,9 @@ struct PassOutcome {
     serve_digest: u64,
     /// Rendered supervisor trajectory of the serve stage.
     supervisor: String,
+    /// Digest of each stage's output, in [`STAGES`] order — the
+    /// fault-free identity unit.
+    outputs: [u64; 3],
     /// Accumulated fault accounting across every install/reinstall.
     accounting: Vec<(String, u64)>,
     /// Sweep restarts consumed.
@@ -93,18 +93,27 @@ struct PassOutcome {
     violations: Vec<String>,
 }
 
-/// Run one scenario to a judged report. `scratch` must be a
-/// directory the trial may create per-seed subdirectories in; they
-/// are removed before returning.
-pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialReport {
+/// The stage outputs a fault-free identity contract compares: the
+/// full profile, the final sweep report (0 when the stage did not
+/// run), and the serve responses. Fault accounting, restarts and
+/// dropped deliveries are deliberately absent — they are how a
+/// faulted pass may differ from a fault-free one.
+const STAGES: [&str; 3] = ["profile", "sweep", "serve"];
+
+/// Run one scenario to a judged report: the oracle of
+/// [`Scenario::oracle`] plus whatever `expect` adds (derived
+/// scenarios pass [`Expect::default`], which adds nothing).
+/// `scratch` must be a directory the trial may create per-seed
+/// subdirectories in; they are removed before returning.
+pub fn run_trial(sc: &Scenario, expect: &Expect, max_restarts: u64, scratch: &Path) -> TrialReport {
     let root = scratch.join(format!("seed-{:04x}", sc.seed));
     let _ = std::fs::remove_dir_all(&root);
-    let reference = run_pass(sc, &root.join("ref"), None, max_restarts);
+    let reference = run_pass(sc, &root.join("ref"), None, max_restarts, true);
     let mut violations = reference.violations.clone();
 
     match sc.oracle {
         OracleKind::ReplayIdentity => {
-            let again = run_pass(sc, &root.join("again"), None, max_restarts);
+            let again = run_pass(sc, &root.join("again"), None, max_restarts, true);
             if again.digest != reference.digest {
                 violations.push(format!(
                     "replay divergence: digest {:#018x} vs {:#018x}",
@@ -125,7 +134,13 @@ pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialRepor
             );
         }
         OracleKind::ResumeIdentity => {
-            let resumed = run_pass(sc, &root.join("killed"), Some(sc.kill_point), max_restarts);
+            let resumed = run_pass(
+                sc,
+                &root.join("killed"),
+                Some(sc.kill_point),
+                max_restarts,
+                true,
+            );
             if resumed.serve_digest != reference.serve_digest {
                 violations.push(format!(
                     "resume divergence: responses {:#018x} (resumed) vs {:#018x} (uninterrupted)",
@@ -147,6 +162,25 @@ pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialRepor
         }
     }
 
+    if expect.fault_free {
+        let clean = run_pass(sc, &root.join("fault-free"), None, max_restarts, false);
+        for (i, stage) in STAGES.iter().enumerate() {
+            let (faulted, fault_free) = (reference.outputs[i], clean.outputs[i]);
+            if faulted != fault_free {
+                violations.push(format!(
+                    "fault-free divergence: {stage} output {faulted:#018x} vs {fault_free:#018x} (fault-free)"
+                ));
+            }
+        }
+        violations.extend(
+            clean
+                .violations
+                .iter()
+                .map(|v| format!("fault-free pass: {v}")),
+        );
+    }
+    violations.extend(expectation_violations(sc, expect, &reference));
+
     let _ = std::fs::remove_dir_all(&root);
     let mut digest = reference.digest;
     for (key, value) in &reference.accounting {
@@ -164,6 +198,44 @@ pub fn run_trial(sc: &Scenario, max_restarts: u64, scratch: &Path) -> TrialRepor
     }
 }
 
+/// The `fired` and `recovered` clauses of `expect`, judged on the
+/// reference pass's accounting.
+fn expectation_violations(sc: &Scenario, expect: &Expect, pass: &PassOutcome) -> Vec<String> {
+    let count = |key: &str| {
+        pass.accounting
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(0, |(_, v)| *v)
+    };
+    let injected: u64 = pass
+        .accounting
+        .iter()
+        .filter(|(k, _)| k.starts_with("injected."))
+        .map(|(_, v)| v)
+        .sum();
+    let fired = match expect.fired {
+        Fired::Unchecked => true,
+        Fired::Nothing => injected == 0,
+        Fired::AnySite => injected > 0,
+        Fired::EverySite => {
+            sc.sites
+                .iter()
+                .all(|(s, _)| count(&format!("injected.{s}")) > 0)
+                && (!sc.arms(site::JOURNAL_CRASH) || pass.restarts > 0)
+        }
+    };
+    let mut violations = Vec::new();
+    if !fired {
+        violations.push(format!(
+            "fired: expected {:?}, got {injected} injection(s) and {} restart(s)",
+            expect.fired, pass.restarts
+        ));
+    }
+    let missing = expect.recovered.iter().filter(|key| count(key) == 0);
+    violations.extend(missing.map(|key| format!("recovered: {key} never counted")));
+    violations
+}
+
 /// Fold freshly-taken fault accounting into the pass accumulator.
 /// Accounting accumulates *across* plan reinstalls: a kill clears
 /// in-process occurrence state (as a real SIGKILL would) but the
@@ -178,10 +250,27 @@ fn accounting_value(acc: &BTreeMap<String, u64>, key: &str) -> u64 {
     acc.get(key).copied().unwrap_or(0)
 }
 
-fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -> PassOutcome {
+/// Install `plan`, or leave injection disabled for a fault-free pass.
+fn arm(armed: bool, plan: gtpin_faults::FaultPlan) {
+    if armed {
+        gtpin_faults::install(plan);
+    } else {
+        gtpin_faults::disable();
+    }
+}
+
+/// One pass over the three stages. `armed: false` is the fault-free
+/// pass of the same shape: every stage runs, injection stays off.
+fn run_pass(
+    sc: &Scenario,
+    dir: &Path,
+    kill: Option<usize>,
+    max_restarts: u64,
+    armed: bool,
+) -> PassOutcome {
     let mut violations: Vec<String> = Vec::new();
     let mut accounting: BTreeMap<String, u64> = BTreeMap::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_BASIS;
     let specs = all_specs();
     let programs: Vec<HostProgram> = specs
         .iter()
@@ -198,8 +287,9 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
     gpu.exec.threads = sc.threads;
 
     // Stage 1: profile conservation under the full plan.
-    gtpin_faults::install(sc.plan());
+    arm(armed, sc.plan());
     digest = fnv_fold(digest, b"profile:");
+    let mut outputs = [0u64; 3];
     let (dropped, quarantined) = match profile_app(&programs[0], gpu, 1) {
         Ok(profiled) => {
             let dropped: u64 = profiled
@@ -228,10 +318,14 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
             digest = fnv_fold(digest, &instructions.to_le_bytes());
             digest = fnv_fold(digest, &dropped.to_le_bytes());
             digest = fnv_fold(digest, &quarantined.to_le_bytes());
+            let json = serde_json::to_string(&profiled.data).unwrap_or_default();
+            outputs[0] = fnv_fold(FNV_BASIS, json.as_bytes());
             (dropped, quarantined)
         }
         Err(e) => {
-            digest = fnv_fold(digest, format!("error: {e}").as_bytes());
+            let rendered = format!("error: {e}");
+            digest = fnv_fold(digest, rendered.as_bytes());
+            outputs[0] = fnv_fold(FNV_BASIS, rendered.as_bytes());
             (0, 0)
         }
     };
@@ -266,7 +360,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
             .map(|outcome| outcome.report.render())
             .unwrap_or_else(|e| format!("error: {e}"));
 
-        gtpin_faults::install(sc.plan());
+        arm(armed, sc.plan());
         let sweep_dir = dir.join("sweep");
         let mut opts = SweepOptions {
             threads: sc.threads,
@@ -282,6 +376,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
                 Ok(outcome) => {
                     let rendered = outcome.report.render();
                     digest = fnv_fold(digest, rendered.as_bytes());
+                    outputs[1] = fnv_fold(FNV_BASIS, rendered.as_bytes());
                     if !sc.arms_lossy() && rendered != baseline {
                         violations.push(
                             "sweep: resumed report diverged from the fault-free baseline".into(),
@@ -301,7 +396,9 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
                     }
                 }
                 Err(e) => {
-                    digest = fnv_fold(digest, format!("error: {e}").as_bytes());
+                    let rendered = format!("error: {e}");
+                    digest = fnv_fold(digest, rendered.as_bytes());
+                    outputs[1] = fnv_fold(FNV_BASIS, rendered.as_bytes());
                     break;
                 }
             }
@@ -311,7 +408,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
     }
 
     // Stage 3: the serve pipeline, optionally killed and resumed.
-    gtpin_faults::install(sc.serve_plan());
+    arm(armed, sc.serve_plan());
     let requests = serve_requests(sc, &specs);
     let serve_dir = dir.join("serve");
     let config = ServeConfig {
@@ -340,7 +437,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
                 // that memory with it), and resume from the journal.
                 drop(engine);
                 fold_accounting(&mut accounting, gtpin_faults::take_accounting());
-                gtpin_faults::install(sc.serve_plan());
+                arm(armed, sc.serve_plan());
                 match SessionEngine::new(ServeConfig {
                     resume: true,
                     ..config
@@ -366,6 +463,7 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
                             digest,
                             serve_digest: 0,
                             supervisor: rendered,
+                            outputs,
                             accounting: acc.into_iter().collect(),
                             restarts,
                             violations,
@@ -396,10 +494,12 @@ fn run_pass(sc: &Scenario, dir: &Path, kill: Option<usize>, max_restarts: u64) -
         }
     }
 
+    outputs[2] = serve_digest;
     PassOutcome {
         digest,
         serve_digest,
         supervisor,
+        outputs,
         accounting: accounting.into_iter().collect(),
         restarts,
         violations,

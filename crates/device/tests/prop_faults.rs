@@ -132,3 +132,55 @@ proptest! {
         );
     }
 }
+
+/// A 4-worker launch of 8 hardware threads appending 12 records each
+/// (above the 8-record soft capacity an injected shard overflow
+/// imposes), fault-free and then under `site` at `rate`.
+fn clean_and_faulted(site: &str, rate: f64) -> (Trial, Trial) {
+    let _guard = LOCK.lock().unwrap();
+    let kernel = trace_kernel(12);
+    let clean = trial(&kernel, 8 * 16, 4, None);
+    let faulted = trial(&kernel, 8 * 16, 4, Some(&FaultPlan::single(site, rate, 42)));
+    (clean, faulted)
+}
+
+fn injected(t: &Trial, site: &str) -> u64 {
+    let key = format!("injected.{site}");
+    t.accounting
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or(0, |(_, v)| *v)
+}
+
+/// `trace.shard_overflow` at rate 1.0 across 4 workers: shards
+/// early-drain into the spill list and keep every record — nothing
+/// dropped, the merged stream identical to the fault-free launch.
+#[test]
+fn shard_overflow_early_drains_without_losing_records() {
+    let (clean, faulted) = clean_and_faulted(site::SHARD_OVERFLOW, 1.0);
+    assert!(injected(&faulted, site::SHARD_OVERFLOW) > 0);
+    assert!(faulted.stats.trace_early_drains >= 1, "{:?}", faulted.stats);
+    assert_eq!(clean.stats.trace_early_drains, 0);
+    assert_eq!(faulted.records, clean.records, "record stream diverged");
+    assert_eq!(
+        (faulted.dropped, faulted.counter_slot),
+        (0, clean.counter_slot)
+    );
+}
+
+/// `trace.record_corrupt`: every corrupted record is quarantined by
+/// the checksum drain and only intact records reach the buffer.
+/// Corruption keys are per-shard append indices, so this small
+/// launch has few distinct keys; 0.3 makes the site fire.
+#[test]
+fn corrupt_records_are_quarantined_not_stored() {
+    let (clean, faulted) = clean_and_faulted(site::RECORD_CORRUPT, 0.3);
+    let corrupted = injected(&faulted, site::RECORD_CORRUPT);
+    assert!(corrupted > 0, "no record corrupted");
+    assert_eq!(faulted.stats.trace_quarantined, corrupted);
+    assert_eq!(
+        faulted.records.len() as u64,
+        clean.records.len() as u64 - corrupted
+    );
+    assert!(faulted.records.iter().all(TraceRecord::is_valid));
+}

@@ -123,7 +123,7 @@ pub mod site {
     /// bit-identical because recompute IS the reference path).
     pub const CACHE_CORRUPT: &str = "cache.corrupt";
 
-    /// Every named site, for matrix drivers.
+    /// Every named site, for drivers that sweep them all.
     pub const ALL: [&str; 10] = [
         SHARD_OVERFLOW,
         RECORD_CORRUPT,
@@ -161,15 +161,6 @@ impl FaultPlan {
     /// A plan with a single active site.
     pub fn single(site: &str, rate: f64, seed: u64) -> FaultPlan {
         FaultPlan::quiescent(seed).with_rate(site, rate)
-    }
-
-    /// A plan firing every known site at `rate`.
-    pub fn uniform(rate: f64, seed: u64) -> FaultPlan {
-        let mut plan = FaultPlan::quiescent(seed);
-        for s in site::ALL {
-            plan = plan.with_rate(s, rate);
-        }
-        plan
     }
 
     /// Builder: set one site's rate.
@@ -281,7 +272,7 @@ pub fn enabled() -> bool {
     state().enabled.load(Ordering::Relaxed)
 }
 
-/// Install `plan` programmatically (e.g. from `gtpin faults-matrix`),
+/// Install `plan` programmatically (e.g. from a `gtpin chaos` trial),
 /// arming the registry and clearing all accounting so a fresh trial
 /// starts from zero.
 pub fn install(plan: FaultPlan) {
@@ -313,12 +304,7 @@ pub fn mix64(mut z: u64) -> u64 {
 
 /// FNV-1a over a string, for site names and other identifiers.
 pub fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    gtpin_obs::frame::fnv64(s.as_bytes())
 }
 
 /// Should the fault at `site` fire for this `key`?
@@ -399,7 +385,7 @@ pub fn accounting() -> Vec<(String, u64)> {
 }
 
 /// Drain the accounting counters, returning the snapshot and leaving
-/// the registry at zero (used between matrix scenarios).
+/// the registry at zero (used between chaos trial stages).
 pub fn take_accounting() -> Vec<(String, u64)> {
     let s = state();
     let mut acc = s.accounting.lock().unwrap();
@@ -439,13 +425,18 @@ pub fn current_seed() -> u64 {
 mod tests {
     use super::*;
 
-    // The registry is process-global; tests that install plans must
-    // not interleave.
-    static LOCK: Mutex<()> = Mutex::new(());
+    /// The registry is process-global: every unit test of this crate
+    /// that touches it, here and in `sealed`, serializes on this one
+    /// lock.
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn parse_forms() {
-        let _g = LOCK.lock().unwrap();
+        let _g = lock();
         assert_eq!(FaultPlan::parse("0").unwrap(), None);
         assert_eq!(FaultPlan::parse("off").unwrap(), None);
         assert_eq!(FaultPlan::parse("").unwrap(), None);
@@ -469,7 +460,7 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_and_rate_bounded() {
-        let _g = LOCK.lock().unwrap();
+        let _g = lock();
         install(FaultPlan::single(site::JIT_FAIL, 0.5, 1234));
         let first: Vec<bool> = (0..256).map(|k| should_inject(site::JIT_FAIL, k)).collect();
         // Replay with the same plan: identical decisions.
@@ -487,7 +478,7 @@ mod tests {
 
     #[test]
     fn rate_edges() {
-        let _g = LOCK.lock().unwrap();
+        let _g = lock();
         install(FaultPlan::single(site::LAUNCH_HANG, 1.0, 5));
         assert!((0..64).all(|k| should_inject(site::LAUNCH_HANG, k)));
         // Unlisted site never fires, and neither does rate 0.
@@ -500,7 +491,7 @@ mod tests {
 
     #[test]
     fn accounting_tracks_injections_and_notes() {
-        let _g = LOCK.lock().unwrap();
+        let _g = lock();
         install(FaultPlan::single(site::WORKER_PANIC, 1.0, 7));
         for k in 0..5 {
             should_inject(site::WORKER_PANIC, k);
@@ -519,7 +510,7 @@ mod tests {
 
     #[test]
     fn occurrences_count_per_identity() {
-        let _g = LOCK.lock().unwrap();
+        let _g = lock();
         install(FaultPlan::quiescent(1));
         assert_eq!(occurrence(site::JIT_FAIL, 10), 0);
         assert_eq!(occurrence(site::JIT_FAIL, 10), 1);

@@ -83,16 +83,9 @@ mod tests {
     use super::*;
     use crate::{accounting, disable, install, FaultPlan};
     use std::collections::BTreeMap;
-    use std::sync::Mutex;
-
-    // The registry is process-global; tests that install plans must
-    // not interleave (same discipline as the lib tests).
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    // Shares the lib tests' lock: both modules drive the one
+    // process-global registry.
+    use crate::tests::lock;
 
     #[test]
     fn intact_seal_reads_back_the_bytes() {

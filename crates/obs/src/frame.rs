@@ -15,13 +15,22 @@
 /// `fnv64: u64 LE`.
 pub const RECORD_HEADER: usize = 12;
 
-/// FNV-1a over a byte slice — the per-record checksum.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// The FNV-1a 64 offset basis every digest in the workspace starts
+/// from.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into a running FNV-1a 64 hash `h` — the one FNV-1a
+/// step every digest in the workspace is built from.
+pub fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over a byte slice — the per-record checksum.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    fnv_fold(FNV_BASIS, bytes)
 }
 
 /// Append one framed record (`[len][fnv64][payload]`) to `out`.
@@ -83,6 +92,8 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+        // Folding in pieces is folding the concatenation.
+        assert_eq!(fnv_fold(fnv64(b"foo"), b"bar"), fnv64(b"foobar"));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub const SIM_THREADS_ENV: &str = "GTPIN_SIM_THREADS";
 /// otherwise the machine's available parallelism.
 ///
 /// The lenient fallback keeps library embedders running; the CLI
-/// rejects malformed values up front via [`validate_threads_env`] so
+/// rejects malformed values up front via [`validate_env`] so
 /// users are never silently clamped.
 pub fn configured_threads() -> usize {
     match std::env::var(THREADS_ENV) {
@@ -127,18 +127,6 @@ pub fn validate_env() -> Result<(), String> {
     for (var, kind) in NUMERIC_ENV_KNOBS.into_iter().chain(FLAG_ENV_KNOBS) {
         if let Ok(raw) = std::env::var(var) {
             validate_env_value(var, &raw, kind)?;
-        }
-    }
-    Ok(())
-}
-
-/// Strict validation of the two thread-count variables only. Kept
-/// for callers that tolerate lenient budget knobs; new front ends
-/// should call [`validate_env`].
-pub fn validate_threads_env() -> Result<(), String> {
-    for var in [THREADS_ENV, SIM_THREADS_ENV] {
-        if let Ok(raw) = std::env::var(var) {
-            validate_env_value(var, &raw, EnvKnobKind::ThreadCount)?;
         }
     }
     Ok(())

@@ -42,6 +42,7 @@ use gpu_device::detailed::{DetailedConfig, DetailedSimulator};
 use gpu_device::{Gpu, GpuConfig, GpuGeneration};
 use gtpin_durable::Journal;
 use gtpin_faults::site;
+use gtpin_obs::frame::{fnv_fold, FNV_BASIS};
 use gtpin_par::{Admission, Outcome, Supervisor, SupervisorConfig};
 use ocl_runtime::runtime::{OclRuntime, Schedule};
 use serde::{Deserialize, Serialize};
@@ -403,9 +404,9 @@ impl SessionEngine {
     }
 
     /// Deterministic digest over every cached terminal result —
-    /// the faults-matrix identity contracts hash this.
+    /// the chaos trial's serve-stage identity contracts hash this.
     pub fn response_digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut h = FNV_BASIS;
         for (key, result) in lock(&self.responses).iter() {
             h = fnv_fold(h, key.as_bytes());
             let json = serde_json::to_string(result).unwrap_or_default();
@@ -658,7 +659,7 @@ impl SessionEngine {
         let params = GpuGeneration::IvyBridgeHd4000.topology().cost_params();
 
         let mut report = String::new();
-        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        let mut digest = FNV_BASIS;
         digest = fnv_fold(digest, app.as_bytes());
         let mut loops = 0usize;
         let mut proven = 0usize;
@@ -666,7 +667,7 @@ impl SessionEngine {
         let mut virtual_ns = 0u64;
         for ir in &program.source.kernels {
             let bin = compile_kernel(ir).map_err(|e| ("jit".to_string(), e.to_string()))?;
-            let hash = gtpin_analyze::report::fnv64(&bin.encode());
+            let hash = gtpin_obs::frame::fnv64(&bin.encode());
             let cached = {
                 let mut map = lock(&self.analyses);
                 match map.get_mut(&hash) {
@@ -885,13 +886,6 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 fn lookup_spec(app: &str) -> Result<workloads::WorkloadSpec, (String, String)> {
     spec_by_name(app).ok_or_else(|| {
         (
@@ -942,7 +936,7 @@ fn compute_sim(
     } else {
         all.len().min(launches as usize)
     };
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    let mut digest = FNV_BASIS;
     let mut cycles = 0u64;
     let mut instructions = 0u64;
     let mut busy_cycles = 0u64;
@@ -1291,6 +1285,9 @@ mod tests {
 
     #[test]
     fn lease_reaper_reclaims_expired_sessions_into_error_lease() {
+        let _g = FAULTS_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let app = first_app();
         let dir = std::env::temp_dir().join(format!("gtpin-serve-lease-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1327,15 +1324,21 @@ mod tests {
                 .expect("appends lease");
         }
 
-        let (resumed, report) = SessionEngine::new(ServeConfig {
+        // Resume armed-but-quiescent so the reaper's recovery
+        // accounting registers.
+        gtpin_faults::install(gtpin_faults::FaultPlan::quiescent(42));
+        let resumed_engine = SessionEngine::new(ServeConfig {
             journal_dir: Some(dir.clone()),
             resume: true,
             ..ServeConfig::default()
-        })
-        .expect("resumes");
+        });
+        let acc: BTreeMap<String, u64> = gtpin_faults::take_accounting().into_iter().collect();
+        gtpin_faults::disable();
+        let (resumed, report) = resumed_engine.expect("resumes");
         assert_eq!(report.replayed, 1);
         assert_eq!(report.recomputed, 0, "reaped, not recomputed");
         assert_eq!(report.reaped, 1);
+        assert!(acc["recovered.lease_reaped"] >= 1, "{acc:?}");
         match resumed.cached(&stuck.session_key()) {
             Some(SessionResult::Failed { kind, message, .. }) => {
                 assert_eq!(kind, "lease");

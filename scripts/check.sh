@@ -180,22 +180,10 @@ echo "== verifier gate: tier-1 tests with GTPIN_VERIFY=1"
 # Every rewrite the test suite performs is re-proved safe in-line.
 GTPIN_VERIFY=1 cargo test -q
 
-echo "== fault-matrix smoke: tier-1 tests armed-but-quiescent under GTPIN_FAULTS=1"
+echo "== fault smoke: tier-1 tests armed-but-quiescent under GTPIN_FAULTS=1"
 # Armed with all rates zero: every instrumented seam runs its check
 # path but nothing fires, so results must stay green and bit-identical.
 GTPIN_FAULTS=1 GTPIN_FAULTS_SEED=42 cargo test -q
-
-echo "== fault-matrix: every scenario twice, degradation contract asserted"
-MATRIX_OUT="$(cargo run -q --release --bin gtpin -- faults-matrix --seed 42 2>&1)" || {
-    echo "$MATRIX_OUT"
-    echo "FAIL: faults-matrix reported contract violations"
-    exit 1
-}
-echo "$MATRIX_OUT" | grep -q "honored the degradation contract" || {
-    echo "$MATRIX_OUT"
-    echo "FAIL: faults-matrix did not emit its degradation summary"
-    exit 1
-}
 
 echo "== kill-and-resume smoke: SIGKILL mid-sweep, resume, diff vs uninterrupted"
 RESUME_DIR="$(pwd)/target/resume-check"
@@ -271,10 +259,22 @@ diff -u "$CHAOS_DIR/t1.txt" "$CHAOS_DIR/resumed.txt" || {
     echo "FAIL: resumed chaos run diverged from the uninterrupted run"
     exit 1
 }
-# The shrinker self-test: a seeded multi-site failure must reduce to
-# its single guilty site.
-./target/release/gtpin chaos --self-test
+# The self-test: a seeded multi-site failure must reduce to its single
+# guilty site, then every fault-corpus entry (one per recovery path,
+# each run twice) must honor its contract. The summary line is
+# required so an empty or skipped corpus fails too.
+SELF_TEST_OUT="$(./target/release/gtpin chaos --self-test 2>&1)" || {
+    echo "$SELF_TEST_OUT"
+    echo "FAIL: chaos --self-test reported a shrinker or corpus violation"
+    exit 1
+}
+echo "$SELF_TEST_OUT" | grep -q "^corpus: 13 entries, 0 violations$" || {
+    echo "$SELF_TEST_OUT"
+    echo "FAIL: chaos --self-test did not judge the 13-entry fault corpus"
+    exit 1
+}
 echo "chaos digest matches pinned $CHAOS_DIGEST at 1 and 4 threads, kill/resume identical"
+echo "fault corpus: 13 entries, 0 violations"
 
 echo "== serve gate: daemon, 4 concurrent clients, SIGKILL mid-session, --resume, diff"
 SERVE_DIR="$(pwd)/target/serve-check"
