@@ -310,7 +310,7 @@ fn issue(
     stats.count_instruction(instr.opcode.category(), instr.exec_size, issue);
 
     let misses_before = stats.cache_misses;
-    let outcome = step(&mut t.st, instr, cache, trace, stats, Some(log));
+    let outcome = step(&mut t.st, instr, Some(cache), trace, stats, Some(log));
     let missed = stats.cache_misses > misses_before;
 
     let latency = match instr.opcode {

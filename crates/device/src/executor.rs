@@ -146,8 +146,9 @@ impl<'d> Executor<'d> {
     /// returns aggregated statistics across hardware threads.
     ///
     /// With `config.threads > 1` the hardware threads fan out across
-    /// workers, each against a scratch cache and a private trace
-    /// shard; shards and access logs merge back in hardware-thread
+    /// workers, each logging its global accesses without touching a
+    /// cache and writing a private trace shard; shards merge and
+    /// access logs replay on the shared cache in hardware-thread
     /// order, so statistics, cache state, and trace contents are
     /// bitwise identical to the serial loop. Kernels that read the
     /// trace buffer back into registers depend on cross-thread write
@@ -191,7 +192,7 @@ impl<'d> Executor<'d> {
                     args,
                     t,
                     self.config.thread_budget,
-                    self.cache,
+                    Some(self.cache),
                     self.trace,
                     &mut stats,
                     None,
@@ -208,11 +209,9 @@ impl<'d> Executor<'d> {
         }
 
         let budget = self.config.thread_budget;
-        let proto_cache = self.cache.clone();
         let record_cap = self.trace.record_capacity();
         let faults_on = gtpin_faults::enabled();
         let runs = gtpin_par::parallel_indexed(num_threads as usize, workers, |t| {
-            let mut cache = proto_cache.clone();
             let mut shard = TraceBuffer::new()
                 .with_record_capacity(record_cap)
                 .with_fault_salt(t as u64 + 1);
@@ -232,7 +231,7 @@ impl<'d> Executor<'d> {
                 args,
                 t as u64,
                 budget,
-                &mut cache,
+                None,
                 &mut shard,
                 &mut tstats,
                 Some(&mut accesses),
@@ -251,8 +250,8 @@ impl<'d> Executor<'d> {
         for run in runs {
             // Replay this thread's global accesses on the shared
             // cache: hit/miss counts and cache state come out exactly
-            // as the serial loop's (the scratch-cache counts in the
-            // worker's stats are discarded below).
+            // as the serial loop's (workers ran with no cache, so
+            // their stats carry no hit/miss counts of their own).
             let mut hits = 0u64;
             let mut misses = 0u64;
             for &(addr, bytes) in &run.accesses {
@@ -360,15 +359,17 @@ impl<'d> Executor<'d> {
     }
 }
 
-/// Run one hardware thread to completion against the given cache and
-/// trace buffer (shared in serial execution, private in parallel).
+/// Run one hardware thread to completion against the given trace
+/// buffer (shared in serial execution, private in parallel) and, in
+/// serial execution, the shared cache; parallel workers pass no cache
+/// and log their accesses instead.
 #[allow(clippy::too_many_arguments)]
 fn run_thread(
     kernel: &DecodedKernel,
     args: &[ArgValue],
     thread_id: u64,
     thread_budget: u64,
-    cache: &mut Cache,
+    mut cache: Option<&mut Cache>,
     trace: &mut TraceBuffer,
     stats: &mut ExecutionStats,
     mut access_log: Option<&mut Vec<(u64, u32)>>,
@@ -399,7 +400,7 @@ fn run_thread(
         match step(
             &mut st,
             instr,
-            cache,
+            cache.as_deref_mut(),
             trace,
             stats,
             access_log.as_deref_mut(),
@@ -642,14 +643,26 @@ mod tests {
         gws: u64,
         threads: usize,
     ) -> (ExecutionStats, TraceBuffer, Cache) {
+        let mut cache = Cache::new(CacheConfig::default());
+        let (stats, trace) = launch_on(&mut cache, ir_body, num_args, args, gws, threads);
+        (stats, trace, cache)
+    }
+
+    fn launch_on(
+        cache: &mut Cache,
+        ir_body: Vec<IrOp>,
+        num_args: u8,
+        args: &[ArgValue],
+        gws: u64,
+        threads: usize,
+    ) -> (ExecutionStats, TraceBuffer) {
         let mut ir = KernelIr::new("t", num_args);
         ir.body = ir_body;
         let bin = compile_kernel(&ir).unwrap();
         let flat = bin.flatten();
-        let mut cache = Cache::new(CacheConfig::default());
         let mut trace = TraceBuffer::new();
         let stats = Executor {
-            cache: &mut cache,
+            cache,
             trace: &mut trace,
             config: ExecConfig {
                 threads,
@@ -658,7 +671,7 @@ mod tests {
         }
         .execute_launch(&flat, args, gws)
         .unwrap();
-        (stats, trace, cache)
+        (stats, trace)
     }
 
     #[test]
@@ -686,16 +699,37 @@ mod tests {
             IrOp::LoopEnd,
         ];
         let args = [ArgValue::Buffer(0), ArgValue::Buffer(1)];
-        let (s1, t1, c1) = run_with_threads(body.clone(), 2, &args, 8 * 16, 1);
+        // A serial gather over the first launch's buffer: its hits and
+        // misses depend on which lines the LRU holds and in what
+        // recency order, so equal probe stats mean the first launch
+        // left the same cache state at every worker count.
+        let probe = vec![
+            IrOp::LoopBegin {
+                trip: TripCount::Const(5),
+            },
+            IrOp::Load {
+                arg: 0,
+                bytes: 64,
+                width: ExecSize::S16,
+                pattern: AccessPattern::Gather,
+            },
+            IrOp::LoopEnd,
+        ];
+        let second_launch = |cache: &mut Cache| {
+            let (stats, _) = launch_on(cache, probe.clone(), 1, &args[..1], 8 * 16, 1);
+            (stats, cache.stats())
+        };
+        let (s1, t1, mut c1) = run_with_threads(body.clone(), 2, &args, 8 * 16, 1);
+        let probe1 = second_launch(&mut c1);
         for threads in 2..=5 {
-            let (sp, tp, cp) = run_with_threads(body.clone(), 2, &args, 8 * 16, threads);
+            let (sp, tp, mut cp) = run_with_threads(body.clone(), 2, &args, 8 * 16, threads);
             assert_eq!(sp, s1, "stats at {threads} threads");
             assert_eq!(tp.records(), t1.records());
             assert_eq!(tp.num_slots(), t1.num_slots());
             assert_eq!(
-                cp.stats(),
-                c1.stats(),
-                "replayed cache state at {threads} threads"
+                second_launch(&mut cp),
+                probe1,
+                "cache state after the first launch at {threads} threads"
             );
         }
     }

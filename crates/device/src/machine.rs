@@ -77,17 +77,20 @@ pub(crate) enum StepOutcome {
 /// accounts application memory traffic in `stats`. The caller counts
 /// the instruction itself and manages the instruction pointer.
 ///
-/// `access_log`, when present, records every global-memory cache
-/// access as `(addr, bytes)`. Two consumers replay these logs against
-/// a shared cache in a fixed order: the parallel executor (in
-/// hardware-thread order, per launch) and the epoch-sharded detailed
-/// simulator (in EU index order, per epoch barrier). The fixed replay
-/// order is what makes a worker running against a scratch cache
-/// still produce the serial schedule's hit/miss counts.
+/// `cache`, when present, takes every global-memory access and its
+/// hit/miss counts land in `stats`. `access_log`, when present,
+/// records every such access as `(addr, bytes)`. Two consumers replay
+/// these logs against a shared cache in a fixed order: the parallel
+/// executor (in hardware-thread order, per launch), whose workers
+/// pass no cache at all, and the epoch-sharded detailed simulator (in
+/// EU index order, per epoch barrier), whose EUs also run a scratch
+/// cache because send latency depends on hit or miss. The fixed
+/// replay order is what makes either produce the serial schedule's
+/// hit/miss counts.
 pub(crate) fn step(
     st: &mut ThreadState,
     instr: &Instruction,
-    cache: &mut Cache,
+    cache: Option<&mut Cache>,
     trace: &mut TraceBuffer,
     stats: &mut ExecutionStats,
     access_log: Option<&mut Vec<(u64, u32)>>,
@@ -175,7 +178,7 @@ fn exec_cmp(st: &mut ThreadState, instr: &Instruction) {
 fn exec_send(
     st: &mut ThreadState,
     instr: &Instruction,
-    cache: &mut Cache,
+    cache: Option<&mut Cache>,
     trace: &mut TraceBuffer,
     stats: &mut ExecutionStats,
     access_log: Option<&mut Vec<(u64, u32)>>,
@@ -184,17 +187,19 @@ fn exec_send(
     match desc.surface {
         Surface::Global => {
             let addr = st.read(instr.srcs[0], 0) as u64;
-            if let Some(log) = access_log {
-                if !matches!(desc.op, SendOp::ReadTimer) {
+            if !matches!(desc.op, SendOp::ReadTimer) {
+                if let Some(log) = access_log {
                     log.push((addr, desc.bytes));
+                }
+                if let Some(cache) = cache {
+                    let (hits, misses) = cache.access(addr, desc.bytes);
+                    stats.cache_hits += hits as u64;
+                    stats.cache_misses += misses as u64;
                 }
             }
             match desc.op {
                 SendOp::Read => {
-                    let (hits, misses) = cache.access(addr, desc.bytes);
                     stats.global_sends += 1;
-                    stats.cache_hits += hits as u64;
-                    stats.cache_misses += misses as u64;
                     stats.bytes_read += desc.bytes as u64;
                     if let Some(dst) = instr.dst {
                         for lane in 0..instr.exec_size.lanes() {
@@ -206,10 +211,7 @@ fn exec_send(
                     }
                 }
                 SendOp::Write | SendOp::AtomicAdd => {
-                    let (hits, misses) = cache.access(addr, desc.bytes);
                     stats.global_sends += 1;
-                    stats.cache_hits += hits as u64;
-                    stats.cache_misses += misses as u64;
                     stats.bytes_written += desc.bytes as u64;
                 }
                 SendOp::ReadTimer => {

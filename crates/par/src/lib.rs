@@ -12,13 +12,18 @@
 //!
 //! The thread count comes from the `GTPIN_THREADS` environment
 //! variable (or an explicit argument); `threads <= 1` falls back to a
-//! plain serial loop with no thread machinery at all. Workers are
-//! `std::thread::scope` scoped threads — no pool, no queues, no
-//! external dependencies — which keeps the fan-out cheap enough for
-//! per-kernel-launch use.
+//! plain serial loop with no thread machinery at all. Above that, a
+//! fan-out runs on one persistent, process-wide pool (see `pool.rs`):
+//! the caller works as worker 0 and at most `threads - 1` parked
+//! helpers join, so no threads are spawned per call and the fan-out
+//! stays cheap enough for per-kernel-launch use. A fan-out nested in
+//! another, or issued while another caller holds the pool, runs inline
+//! on its caller instead of oversubscribing the cores.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
+mod pool;
 pub mod supervisor;
 
 pub use supervisor::{Admission, Outcome, Supervisor, SupervisorConfig, SupervisorReport};
@@ -216,71 +221,71 @@ where
     let start_ns = gtpin_obs::now_ns();
     let busy_ns_total = AtomicU64::new(0);
     let counter = AtomicUsize::new(0);
+    // One slot per worker, each written once by the worker that ran:
+    // its `(index, result)` pairs and the indices it lost to panics.
+    type Part<R> = Option<(Vec<(usize, R)>, Vec<usize>)>;
+    let parts: Vec<Mutex<Part<R>>> = (0..workers).map(|_| Mutex::new(None)).collect();
+
+    let inline = pool::run(workers, &|w| {
+        let mut local: Vec<(usize, R)> = Vec::new();
+        let mut lost: Vec<usize> = Vec::new();
+        let mut busy_ns = 0u64;
+        let mut first_claim = true;
+        loop {
+            let i = counter.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let t0 = gtpin_obs::now_ns();
+            if obs && first_claim {
+                first_claim = false;
+                gtpin_obs::hist_ns("par.queue_wait_ns", t0.saturating_sub(start_ns));
+            }
+            if faults_on {
+                match run_guarded(&f, i, 0) {
+                    Some(r) => local.push((i, r)),
+                    None => lost.push(i),
+                }
+            } else {
+                local.push((i, f(i)));
+            }
+            if obs {
+                let dt = gtpin_obs::now_ns().saturating_sub(t0);
+                busy_ns += dt;
+                gtpin_obs::hist_ns("par.task_ns", dt);
+            }
+        }
+        if obs {
+            busy_ns_total.fetch_add(busy_ns, Ordering::Relaxed);
+            gtpin_obs::counter_add("par.tasks", local.len() as u64);
+            // Per-worker provenance: which pool worker did how
+            // much of this fan-out (wall-clock context; the
+            // deterministic outputs never depend on it).
+            gtpin_obs::global().instant(
+                "par.worker",
+                vec![
+                    ("worker", gtpin_obs::ArgVal::U64(w as u64)),
+                    ("tasks", gtpin_obs::ArgVal::U64(local.len() as u64)),
+                    ("busy_ns", gtpin_obs::ArgVal::U64(busy_ns)),
+                ],
+            );
+        }
+        *lock_part(&parts[w]) = Some((local, lost));
+    });
+    note_inline(&mut fanout, inline);
+
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
-
     let mut failed: Vec<usize> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let counter = &counter;
-            let f = &f;
-            let busy_ns_total = &busy_ns_total;
-            handles.push(scope.spawn(move || {
-                let mut local: Vec<(usize, R)> = Vec::new();
-                let mut lost: Vec<usize> = Vec::new();
-                let mut busy_ns = 0u64;
-                let mut first_claim = true;
-                loop {
-                    let i = counter.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let t0 = gtpin_obs::now_ns();
-                    if obs && first_claim {
-                        first_claim = false;
-                        gtpin_obs::hist_ns("par.queue_wait_ns", t0.saturating_sub(start_ns));
-                    }
-                    if faults_on {
-                        match run_guarded(f, i, 0) {
-                            Some(r) => local.push((i, r)),
-                            None => lost.push(i),
-                        }
-                    } else {
-                        local.push((i, f(i)));
-                    }
-                    if obs {
-                        let dt = gtpin_obs::now_ns().saturating_sub(t0);
-                        busy_ns += dt;
-                        gtpin_obs::hist_ns("par.task_ns", dt);
-                    }
-                }
-                if obs {
-                    busy_ns_total.fetch_add(busy_ns, Ordering::Relaxed);
-                    gtpin_obs::counter_add("par.tasks", local.len() as u64);
-                    // Per-worker provenance: which pool worker did how
-                    // much of this fan-out (wall-clock context; the
-                    // deterministic outputs never depend on it).
-                    gtpin_obs::global().instant(
-                        "par.worker",
-                        vec![
-                            ("worker", gtpin_obs::ArgVal::U64(w as u64)),
-                            ("tasks", gtpin_obs::ArgVal::U64(local.len() as u64)),
-                            ("busy_ns", gtpin_obs::ArgVal::U64(busy_ns)),
-                        ],
-                    );
-                }
-                (local, lost)
-            }));
+    for part in parts {
+        let Some((local, lost)) = part.into_inner().unwrap_or_else(|e| e.into_inner()) else {
+            continue;
+        };
+        for (i, r) in local {
+            out[i] = Some(r);
         }
-        for handle in handles {
-            let (local, lost) = handle.join().expect("parallel worker panicked");
-            for (i, r) in local {
-                out[i] = Some(r);
-            }
-            failed.extend(lost);
-        }
-    });
+        failed.extend(lost);
+    }
 
     if !failed.is_empty() {
         // Degradation ladder, in task-index order so accounting and
@@ -317,6 +322,25 @@ where
     out.into_iter()
         .map(|r| r.expect("every index produced exactly once"))
         .collect()
+}
+
+/// Lock a per-worker result slot or a claimed fill chunk. Each is
+/// locked by one worker only; if a task panics while a chunk is held,
+/// the panic reaches the caller, which then reads nothing, so a
+/// poisoned lock never hides a half-written value.
+fn lock_part<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+    slot.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Record on the fan-out's span, and in `par.inline_fanouts`, that
+/// the pool declined the fan-out and why.
+fn note_inline(span: &mut gtpin_obs::SpanGuard<'_>, inline: Option<pool::Inline>) {
+    if let Some(why) = inline {
+        if span.active() {
+            span.arg_str("inline", why.as_str());
+            gtpin_obs::counter_add("par.inline_fanouts", 1);
+        }
+    }
 }
 
 /// Run task `i` under `catch_unwind`, with the `par.worker_panic`
@@ -371,17 +395,19 @@ where
     let mut span = gtpin_obs::span("par.fill");
     span.arg_u64("items", n as u64);
     span.arg_u64("workers", workers as u64);
-    std::thread::scope(|scope| {
-        for (c, piece) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = c * chunk;
-                for (j, slot) in piece.iter_mut().enumerate() {
-                    *slot = f(base + j);
-                }
-            });
+    // Chunks are claimed like tasks, so an inline run (worker 0 alone)
+    // still fills every chunk.
+    let chunks: Vec<Mutex<&mut [R]>> = out.chunks_mut(chunk).map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    let inline = pool::run(workers, &|_| loop {
+        let c = next.fetch_add(1, Ordering::Relaxed);
+        let Some(piece) = chunks.get(c) else { break };
+        let base = c * chunk;
+        for (j, slot) in lock_part(piece).iter_mut().enumerate() {
+            *slot = f(base + j);
         }
     });
+    note_inline(&mut span, inline);
 }
 
 /// The faults registry is process-global and one test in this crate

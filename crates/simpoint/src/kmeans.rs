@@ -75,7 +75,8 @@ pub fn kmeans(
 }
 
 /// Point count below which the Lloyd assignment step stays serial:
-/// under this, thread spawn cost exceeds the distance arithmetic.
+/// under this, waking pool helpers and handing out chunks costs more
+/// than the distance arithmetic.
 pub const PAR_MIN_POINTS: usize = 1024;
 
 /// [`kmeans`] with an explicit worker count for the Lloyd assignment

@@ -186,8 +186,10 @@ pub fn select_with_threads(
     // Sweep k, score with BIC, keep the smallest k clearing the
     // fraction-of-best threshold. Small populations spend the thread
     // budget on concurrent k runs; large ones keep the sweep serial
-    // and chunk each run's assignment step instead (nesting both
-    // would oversubscribe).
+    // and chunk each run's assignment step instead. Nesting both
+    // would gain nothing: a fan-out nested in a pool job runs inline,
+    // as does this whole sweep when explore already fans out the
+    // configs it belongs to.
     let max_k = config.max_k.min(points.len()).max(1);
     let (sweep_threads, lloyd_threads) = if points.len() >= crate::kmeans::PAR_MIN_POINTS {
         (1, threads)

@@ -26,6 +26,14 @@ echo "== determinism properties at GTPIN_THREADS=4"
 GTPIN_THREADS=4 cargo test -q -p simpoint --test prop_parallel
 GTPIN_THREADS=4 cargo test -q -p subset-select --test prop_parallel
 
+echo "== pool gate: stress, draining-race and panic tests, optimized, 5 runs"
+# The pool's publish-while-draining race is timing-sensitive and a
+# debug build can hide it, so these run in release, repeatedly.
+for run in 1 2 3 4 5; do
+    cargo test -q --release -p gtpin-par --lib -- --test-threads 4 \
+        pool:: injected_worker_panics
+done
+
 echo "== sharded-simulator gate: detailed sim serial vs 4 workers, digests diffed"
 SIM_DIR="$(pwd)/target/sim-check"
 rm -rf "$SIM_DIR"
