@@ -11,30 +11,35 @@
 //! with the functional engine (the internal `machine` module), so the two can
 //! never diverge on results — only on time.
 //!
-//! # Epoch-barrier sharding
+//! # Epoch sharding
 //!
 //! The machine model is **epoch-based**: every EU advances through a
 //! bounded window of virtual cycles (an *epoch*) against a private
 //! snapshot of the shared LLC taken at the epoch boundary, logging its
-//! global-memory accesses as it goes. At the barrier between epochs
-//! the logs are replayed into the master cache **in EU index order**.
-//! Each EU's behaviour is therefore a pure function of (its own
-//! state, the master snapshot), and the master's evolution is a pure
-//! function of the ordered logs — neither depends on how EUs are
-//! partitioned across host workers, which is why the sharded run is
-//! bit-identical to the serial run at any worker count (see DESIGN.md
-//! decision 11). The worker count comes from `GTPIN_SIM_THREADS`
-//! (falling back to `GTPIN_THREADS`); a shard worker that panics —
-//! genuinely or via the `sim.shard` fault site — abandons the
-//! parallel attempt and the launch re-simulates serially from the
-//! untouched master state, so degradation never changes results.
+//! global-memory accesses as it goes. Between epochs the logs are
+//! replayed into the master cache **in EU index order**. Each EU's
+//! behaviour is therefore a pure function of (its own state, the
+//! master snapshot), and the master's evolution is a pure function of
+//! the ordered logs — neither depends on how EUs are partitioned
+//! across host workers, which is why the sharded run is bit-identical
+//! to the serial run at any worker count (see DESIGN.md decision 11).
+//!
+//! One loop runs every schedule: each epoch is one fan-out on the
+//! `gtpin-par` pool, where workers claim EUs from a shared counter,
+//! and the caller reconciles the logs once the fan-out returns. One
+//! worker is the pool's serial case. The worker count comes from
+//! `GTPIN_SIM_THREADS` (falling back to `GTPIN_THREADS`); with more
+//! than one, an EU advance that panics — genuinely or via the
+//! `sim.shard` fault site — abandons the attempt, and the launch
+//! re-simulates with one worker from a copy of the pre-launch cache,
+//! so degradation never changes results.
 //!
 //! Simulating a full program here is orders of magnitude slower than
 //! native functional execution; simulating only the intervals subset
 //! selection picks is the paper's remedy.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use gen_isa::{DecodedKernel, Opcode};
 use gtpin_obs::ArgVal;
@@ -348,39 +353,19 @@ enum EpochOutcome {
     Completed { epochs: u64 },
     /// The lowest-indexed EU that faulted in the failing epoch.
     ExecFailed(ExecError),
-    /// A shard worker died (injected or genuine panic); the caller
-    /// falls back to the serial path. Never produced by the serial
-    /// path itself.
+    /// An EU advance died (injected or genuine panic) with more than
+    /// one worker configured; the caller re-runs the launch with one
+    /// worker, which never produces this.
     ShardFailed,
 }
 
 /// Per-EU, per-epoch provenance instant: the virtual-cycle facts
-/// `gtpin obs-timeline` aggregates. All values are schedule-invariant
-/// (epoch deltas of the EU's own counters), so the aggregate report
-/// is identical at every `GTPIN_SIM_THREADS` setting.
-fn eu_epoch_instant(launch: u64, eu: u64, epoch: u64, busy: u64, cycles: u64) {
-    gtpin_obs::global().instant(
-        "sim.eu_epoch",
-        vec![
-            ("launch", ArgVal::U64(launch)),
-            ("eu", ArgVal::U64(eu)),
-            ("epoch", ArgVal::U64(epoch)),
-            ("busy", ArgVal::U64(busy)),
-            ("cycles", ArgVal::U64(cycles)),
-        ],
-    );
-}
-
-/// The sharded-schedule variant of [`eu_epoch_instant`], tagging the
-/// host worker that advanced the shard (wall-clock context only).
-fn eu_epoch_instant_on_worker(
-    launch: u64,
-    eu: u64,
-    epoch: u64,
-    busy: u64,
-    cycles: u64,
-    worker: u64,
-) {
+/// `gtpin obs-timeline` aggregates. Apart from `worker` (the pool
+/// worker that advanced the EU, wall-clock context the timeline
+/// ignores), all values are schedule-invariant epoch deltas of the
+/// EU's own counters, so the aggregate report is identical at every
+/// `GTPIN_SIM_THREADS` setting.
+fn eu_epoch_instant(launch: u64, eu: u64, epoch: u64, busy: u64, cycles: u64, worker: u64) {
     gtpin_obs::global().instant(
         "sim.eu_epoch",
         vec![
@@ -390,6 +375,21 @@ fn eu_epoch_instant_on_worker(
             ("busy", ArgVal::U64(busy)),
             ("cycles", ArgVal::U64(cycles)),
             ("worker", ArgVal::U64(worker)),
+        ],
+    );
+}
+
+/// Wall-clock provenance: how long `worker` waited, from finding no
+/// EU left to claim until the epoch's fan-out ended.
+fn barrier_instant(launch: u64, worker: u64, epoch: u64, wait_ns: u64) {
+    gtpin_obs::hist_ns("sim.barrier_wait_ns", wait_ns);
+    gtpin_obs::global().instant(
+        "sim.barrier",
+        vec![
+            ("launch", ArgVal::U64(launch)),
+            ("worker", ArgVal::U64(worker)),
+            ("epoch", ArgVal::U64(epoch)),
+            ("wait_ns", ArgVal::U64(wait_ns)),
         ],
     );
 }
@@ -429,9 +429,9 @@ impl DetailedSimulator {
         }
     }
 
-    /// Override the shard worker count (`1` forces the serial epoch
-    /// loop). Results are bit-identical at every setting; only
-    /// wall-clock changes.
+    /// Override the shard worker count (`1` advances every EU on the
+    /// calling thread). Results are bit-identical at every setting;
+    /// only wall-clock changes.
     pub fn with_workers(mut self, workers: usize) -> DetailedSimulator {
         self.workers = workers.max(1);
         self
@@ -484,32 +484,28 @@ impl DetailedSimulator {
                 .collect()
         };
 
+        // Shard deaths are recovered by re-simulating from the
+        // pre-launch cache, so keep a copy whenever they can happen.
+        let pristine = (workers > 1).then(|| self.cache.clone());
         let mut eus = build_shards();
-        let outcome = if workers <= 1 {
-            self.run_epochs_serial(kernel, args, &mut eus, launch)
-        } else {
-            let (back, outcome) = self.run_epochs_parallel(kernel, args, eus, workers, launch);
-            eus = back;
-            if matches!(outcome, EpochOutcome::ShardFailed) {
-                // Degradation contract: the parallel attempt never
-                // touched the master cache or trace, so re-running the
-                // whole launch serially reproduces the reference
-                // result exactly.
-                gtpin_faults::note("recovered.sim_serial_fallback", 1);
-                gtpin_obs::warn!(
-                    "sim: shard worker died; re-simulating launch serially from pristine state"
-                );
-                eus = build_shards();
-                self.run_epochs_serial(kernel, args, &mut eus, launch)
-            } else {
-                outcome
-            }
-        };
+        let mut outcome = self.run_epochs(kernel, args, &mut eus, workers, launch);
+        if let (EpochOutcome::ShardFailed, Some(cache)) = (&outcome, pristine) {
+            // Degradation contract: re-running the whole launch
+            // serially from the pre-launch state reproduces the
+            // reference result exactly.
+            gtpin_faults::note("recovered.sim_serial_fallback", 1);
+            gtpin_obs::warn!(
+                "sim: shard worker died; re-simulating launch serially from pristine state"
+            );
+            self.cache = cache;
+            eus = build_shards();
+            outcome = self.run_epochs(kernel, args, &mut eus, 1, launch);
+        }
 
         let epochs = match outcome {
             EpochOutcome::Completed { epochs } => epochs,
             EpochOutcome::ExecFailed(e) => return Err(e),
-            EpochOutcome::ShardFailed => unreachable!("serial epochs cannot shard-fail"),
+            EpochOutcome::ShardFailed => unreachable!("one worker cannot shard-fail"),
         };
 
         let mut stats = ExecutionStats {
@@ -557,45 +553,114 @@ impl DetailedSimulator {
         Ok(result)
     }
 
-    /// The reference schedule: one host thread advances every EU
-    /// through each epoch in index order, then replays the access
-    /// logs into the master cache — also in index order.
-    fn run_epochs_serial(
+    /// The epoch engine. Each epoch fans out over the `gtpin-par`
+    /// pool: workers claim unfinished EUs in index order from a shared
+    /// counter and advance each against their own copy of the master
+    /// cache. Once the fan-out returns, the access logs are replayed
+    /// into the master in EU index order. Every epoch that completes
+    /// is committed, so one worker (the pool's serial case) is the
+    /// reference schedule and a failed launch leaves the same master
+    /// state at every worker count.
+    ///
+    /// With `workers > 1` each EU advance runs under `catch_unwind`
+    /// and consults the `sim.shard` fault site; a death anywhere makes
+    /// the outcome [`EpochOutcome::ShardFailed`] once every unfinished
+    /// EU has been advanced through that epoch. Both depend on
+    /// `workers` alone, never on whether the pool ran the fan-out
+    /// inline, so the fault accounting is worker-invariant too. The
+    /// `sim.barrier` telemetry is also recorded only with
+    /// `workers > 1`: each worker that ran reports its wait from its
+    /// last claim to the end of the fan-out.
+    fn run_epochs(
         &mut self,
         kernel: &DecodedKernel,
         args: &[ArgValue],
         eus: &mut [EuSim],
+        workers: usize,
         launch: u64,
     ) -> EpochOutcome {
         let obs = gtpin_obs::enabled();
+        let sharded = workers > 1;
         let epoch = self.config.epoch_cycles.max(1);
-        let mut scratch = self.cache.clone();
+        let cells: Vec<Mutex<&mut EuSim>> = eus.iter_mut().map(Mutex::new).collect();
+        let slots: Vec<Mutex<WorkerSlot>> = (0..workers).map(|_| Mutex::default()).collect();
         let mut round = 0u64;
         loop {
             let epoch_end = epoch * (round + 1);
-            for (e, eu) in eus.iter_mut().enumerate() {
-                if eu.done() {
-                    continue;
+            let next = AtomicUsize::new(0);
+            let failed = AtomicBool::new(false);
+            let (master, config) = (&self.cache, &self.config);
+            gtpin_par::fan_out(workers, |w| {
+                let mut slot = lock(&slots[w]);
+                loop {
+                    let e = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(cell) = cells.get(e) else { break };
+                    let mut eu = lock(cell);
+                    if eu.done() {
+                        continue;
+                    }
+                    let scratch = slot.scratch.get_or_insert_with(|| master.clone());
+                    scratch.copy_state_from(master);
+                    let (busy0, cycle0) = (eu.busy, eu.cycle);
+                    if sharded {
+                        // The fault key mixes (EU, epoch) only, so
+                        // injection decisions are independent of the
+                        // worker count and host schedule.
+                        let inject = gtpin_faults::should_inject(
+                            gtpin_faults::site::SIM_SHARD,
+                            ((e as u64) << 32) | (round & 0xFFFF_FFFF),
+                        );
+                        let advanced =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                if inject {
+                                    std::panic::panic_any(gtpin_faults::INJECTED_PANIC_MARKER);
+                                }
+                                eu.advance_epoch(kernel, args, config, scratch, epoch_end);
+                            }));
+                        if advanced.is_err() {
+                            failed.store(true, Ordering::Relaxed);
+                            continue;
+                        }
+                    } else {
+                        eu.advance_epoch(kernel, args, config, scratch, epoch_end);
+                    }
+                    if obs {
+                        eu_epoch_instant(
+                            launch,
+                            e as u64,
+                            round,
+                            eu.busy - busy0,
+                            eu.cycle - cycle0,
+                            w as u64,
+                        );
+                    }
                 }
-                scratch.copy_state_from(&self.cache);
-                let (busy0, cycle0) = (eu.busy, eu.cycle);
-                eu.advance_epoch(kernel, args, &self.config, &mut scratch, epoch_end);
-                if obs {
-                    eu_epoch_instant(launch, e as u64, round, eu.busy - busy0, eu.cycle - cycle0);
+                if obs && sharded {
+                    slot.idle_since_ns = Some(gtpin_obs::now_ns());
+                }
+            });
+            if obs && sharded {
+                let end_ns = gtpin_obs::now_ns();
+                for (w, slot) in slots.iter().enumerate() {
+                    if let Some(t) = lock(slot).idle_since_ns.take() {
+                        barrier_instant(launch, w as u64, round, end_ns.saturating_sub(t));
+                    }
                 }
             }
-            if let Some(e) = eus.iter().find_map(|s| s.error.clone()) {
+            if failed.into_inner() {
+                return EpochOutcome::ShardFailed;
+            }
+            if let Some(e) = cells.iter().find_map(|c| lock(c).error.clone()) {
                 return EpochOutcome::ExecFailed(e);
             }
             let mut all_done = true;
-            for eu in eus.iter_mut() {
+            for cell in &cells {
+                let mut eu = lock(cell);
                 for &(addr, bytes) in &eu.log {
                     self.cache.access(addr, bytes);
                 }
                 eu.log.clear();
-                if !eu.done() {
-                    all_done = false;
-                }
+                all_done &= eu.done();
             }
             round += 1;
             if all_done {
@@ -603,174 +668,26 @@ impl DetailedSimulator {
             }
         }
     }
+}
 
-    /// The sharded schedule: `workers` host threads own EUs by index
-    /// stride and advance them concurrently within each epoch; worker
-    /// 0 performs the same in-order log replay the serial path does
-    /// between two barrier waits. The master cache is only committed
-    /// back on success, so a shard failure leaves the simulator state
-    /// untouched for the serial fallback.
-    fn run_epochs_parallel(
-        &mut self,
-        kernel: &DecodedKernel,
-        args: &[ArgValue],
-        eus: Vec<EuSim>,
-        workers: usize,
-        launch: u64,
-    ) -> (Vec<EuSim>, EpochOutcome) {
-        let epoch = self.config.epoch_cycles.max(1);
-        let num_eus = eus.len();
-        let cells: Vec<Mutex<EuSim>> = eus.into_iter().map(Mutex::new).collect();
-        let master = RwLock::new(self.cache.clone());
-        let barrier = Barrier::new(workers);
-        let failed = AtomicBool::new(false);
-        let all_done = AtomicBool::new(false);
-        let epochs = AtomicU64::new(0);
-        let first_error: Mutex<Option<ExecError>> = Mutex::new(None);
-        let config = &self.config;
+/// One pool worker's state across a launch's epochs.
+#[derive(Default)]
+struct WorkerSlot {
+    /// The worker's copy of the master cache, cloned on its first
+    /// claim and refreshed from the master before every EU advance.
+    scratch: Option<Cache>,
+    /// When the worker found no EU left to claim in the current
+    /// epoch's fan-out, if it ran in it (sharded telemetry only).
+    idle_since_ns: Option<u64>,
+}
 
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let cells = &cells;
-                let master = &master;
-                let barrier = &barrier;
-                let failed = &failed;
-                let all_done = &all_done;
-                let epochs = &epochs;
-                let first_error = &first_error;
-                scope.spawn(move || {
-                    let obs = gtpin_obs::enabled();
-                    let faults_on = gtpin_faults::enabled();
-                    let mut scratch = master.read().expect("master lock").clone();
-                    let mut round = 0u64;
-                    loop {
-                        let epoch_end = epoch * (round + 1);
-                        for e in (w..num_eus).step_by(workers) {
-                            let mut eu = cells[e].lock().expect("shard lock");
-                            if eu.done() {
-                                continue;
-                            }
-                            {
-                                let m = master.read().expect("master lock");
-                                scratch.copy_state_from(&m);
-                            }
-                            // The fault key mixes (EU, epoch) only, so
-                            // injection decisions are independent of
-                            // the worker count and host schedule.
-                            let inject = faults_on
-                                && gtpin_faults::should_inject(
-                                    gtpin_faults::site::SIM_SHARD,
-                                    ((e as u64) << 32) | (round & 0xFFFF_FFFF),
-                                );
-                            let (busy0, cycle0) = (eu.busy, eu.cycle);
-                            let advanced =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if inject {
-                                        std::panic::panic_any(gtpin_faults::INJECTED_PANIC_MARKER);
-                                    }
-                                    eu.advance_epoch(kernel, args, config, &mut scratch, epoch_end);
-                                }));
-                            match advanced {
-                                Ok(()) if obs => {
-                                    // Same virtual-cycle provenance the
-                                    // serial loop records — the extra
-                                    // `worker` arg is wall-clock-only
-                                    // context the timeline ignores.
-                                    eu_epoch_instant_on_worker(
-                                        launch,
-                                        e as u64,
-                                        round,
-                                        eu.busy - busy0,
-                                        eu.cycle - cycle0,
-                                        w as u64,
-                                    );
-                                }
-                                Ok(()) => {}
-                                Err(_) => failed.store(true, Ordering::Relaxed),
-                            }
-                        }
-                        let t0 = if obs { gtpin_obs::now_ns() } else { 0 };
-                        barrier.wait();
-                        if obs {
-                            let wait_ns = gtpin_obs::now_ns().saturating_sub(t0);
-                            gtpin_obs::hist_ns("sim.barrier_wait_ns", wait_ns);
-                            // Wall-clock provenance: which worker waited
-                            // how long at this epoch's barrier.
-                            gtpin_obs::global().instant(
-                                "sim.barrier",
-                                vec![
-                                    ("launch", ArgVal::U64(launch)),
-                                    ("worker", ArgVal::U64(w as u64)),
-                                    ("epoch", ArgVal::U64(round)),
-                                    ("wait_ns", ArgVal::U64(wait_ns)),
-                                ],
-                            );
-                        }
-                        if w == 0 && !failed.load(Ordering::Relaxed) {
-                            // Same reconciliation the serial loop
-                            // runs, in the same EU order.
-                            let mut err: Option<ExecError> = None;
-                            for cell in cells.iter() {
-                                let eu = cell.lock().expect("shard lock");
-                                if let Some(e) = &eu.error {
-                                    err = Some(e.clone());
-                                    break;
-                                }
-                            }
-                            if let Some(e) = err {
-                                *first_error.lock().expect("error lock") = Some(e);
-                            } else {
-                                let mut m = master.write().expect("master lock");
-                                let mut done = true;
-                                for cell in cells.iter() {
-                                    let mut eu = cell.lock().expect("shard lock");
-                                    for &(addr, bytes) in &eu.log {
-                                        m.access(addr, bytes);
-                                    }
-                                    eu.log.clear();
-                                    if !eu.done() {
-                                        done = false;
-                                    }
-                                }
-                                if done {
-                                    all_done.store(true, Ordering::Relaxed);
-                                }
-                            }
-                            epochs.store(round + 1, Ordering::Relaxed);
-                        }
-                        barrier.wait();
-                        round += 1;
-                        if failed.load(Ordering::Relaxed)
-                            || all_done.load(Ordering::Relaxed)
-                            || first_error.lock().expect("error lock").is_some()
-                        {
-                            break;
-                        }
-                    }
-                });
-            }
-        });
-
-        let eus: Vec<EuSim> = cells
-            .into_iter()
-            .map(|c| c.into_inner().expect("shard lock"))
-            .collect();
-        if failed.load(Ordering::Relaxed) {
-            return (eus, EpochOutcome::ShardFailed);
-        }
-        if let Some(e) = first_error.lock().expect("error lock").take() {
-            return (eus, EpochOutcome::ExecFailed(e));
-        }
-        // Commit the reconciled master state only now that the
-        // parallel attempt is known good.
-        self.cache = master.into_inner().expect("master lock");
-        (
-            eus,
-            EpochOutcome::Completed {
-                epochs: epochs.load(Ordering::Relaxed),
-            },
-        )
-    }
+/// Lock an EU or a worker slot. Each is locked by one worker at a
+/// time, and a panic while one is held either is caught inside the
+/// lock (a shard death, which discards the whole attempt) or reaches
+/// the caller, so a poisoned guard never hides a half-written value
+/// that is read afterwards.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -781,6 +698,7 @@ mod tests {
     use crate::topology::GpuGeneration;
     use gen_isa::ExecSize;
     use ocl_runtime::ir::{AccessPattern, IrOp, KernelIr, TripCount};
+    use std::time::{Duration, Instant};
 
     fn kernel(body: Vec<IrOp>, num_args: u8) -> DecodedKernel {
         let mut ir = KernelIr::new("d", num_args);
@@ -1013,6 +931,39 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_launch_leaves_the_same_cache_at_every_worker_count() {
+        // The first launch runs its threads past the instruction
+        // budget several epochs in; the epochs it completed stay
+        // committed to the LLC, which the follow-up launch reads.
+        let gather = |trip| {
+            let load = IrOp::Load {
+                arg: 0,
+                bytes: 64,
+                width: ExecSize::S16,
+                pattern: AccessPattern::Gather,
+            };
+            let trip = TripCount::Const(trip);
+            kernel(vec![IrOp::LoopBegin { trip }, load, IrOp::LoopEnd], 1)
+        };
+        let (runaway, follow_up) = (gather(400), gather(3));
+        let args = [ArgValue::Buffer(0)];
+        let run = |workers| {
+            let config = DetailedConfig {
+                thread_budget: 600,
+                epoch_cycles: 256,
+                ..Default::default()
+            };
+            let topology = GpuGeneration::IvyBridgeHd4000.topology();
+            let mut sim = DetailedSimulator::new(topology, 1.15e9, config).with_workers(workers);
+            let failed = sim.simulate_launch(&runaway, &args, 64 * 16);
+            assert_eq!(failed, Err(ExecError::BudgetExceeded { budget: 600 }));
+            sim.simulate_launch(&follow_up, &args, 64 * 16).unwrap()
+        };
+        let serial = run(1);
+        assert_eq!(run(4), serial);
+    }
+
+    #[test]
     fn detailed_simulation_is_slower_than_functional_in_wall_clock() {
         let k = kernel(
             vec![
@@ -1031,38 +982,31 @@ mod tests {
             ],
             0,
         );
-        // Serial on both sides, best-of-three, to keep the comparison
-        // robust against scheduler noise in debug builds.
-        let functional = (0..3)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                let mut cache = Cache::new(CacheConfig::default());
-                let mut trace = TraceBuffer::new();
-                Executor {
-                    cache: &mut cache,
-                    trace: &mut trace,
-                    config: ExecConfig {
-                        threads: 1,
-                        ..Default::default()
-                    },
-                }
-                .execute_launch(&k, &[], 4096)
+        // Serial on both sides, best-of-three, measured in turn so
+        // that load from tests running alongside hits both alike.
+        let (mut functional, mut detailed) = (Duration::MAX, Duration::MAX);
+        for _ in 0..3 {
+            let t0 = Instant::now();
+            let mut cache = Cache::new(CacheConfig::default());
+            let mut trace = TraceBuffer::new();
+            Executor {
+                cache: &mut cache,
+                trace: &mut trace,
+                config: ExecConfig {
+                    threads: 1,
+                    ..Default::default()
+                },
+            }
+            .execute_launch(&k, &[], 4096)
+            .unwrap();
+            functional = functional.min(t0.elapsed());
+            let t1 = Instant::now();
+            sim()
+                .with_workers(1)
+                .simulate_launch(&k, &[], 4096)
                 .unwrap();
-                t0.elapsed()
-            })
-            .min()
-            .unwrap();
-        let detailed = (0..3)
-            .map(|_| {
-                let t1 = std::time::Instant::now();
-                sim()
-                    .with_workers(1)
-                    .simulate_launch(&k, &[], 4096)
-                    .unwrap();
-                t1.elapsed()
-            })
-            .min()
-            .unwrap();
+            detailed = detailed.min(t1.elapsed());
+        }
         assert!(
             detailed > functional,
             "detailed ({detailed:?}) must cost more than functional ({functional:?})"

@@ -5,6 +5,7 @@
 //! epoch lengths, and also while the fault registry is armed but
 //! quiescent.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use gen_isa::ExecSize;
@@ -143,7 +144,7 @@ proptest! {
 /// Injected shard deaths at every rate degrade to the serial result:
 /// the `sim.shard` site kills parallel epochs, the launch re-runs
 /// serially, and nothing observable changes except the recovery
-/// accounting.
+/// accounting — which is itself the same at every worker count.
 #[test]
 fn shard_fault_rates_never_change_results() {
     let _guard = guard();
@@ -174,11 +175,24 @@ fn shard_fault_rates_never_change_results() {
             rate,
             0xD15C,
         ));
+        let mut accounting = Vec::new();
         for workers in 2..=6usize {
             let degraded = run(&kernel, 40 * 16, 1024, workers);
             assert_eq!(degraded, baseline, "rate = {rate}, workers = {workers}");
+            let acc: BTreeMap<String, u64> = gtpin_faults::take_accounting().into_iter().collect();
+            let count = |key: &str| acc.get(key).copied().unwrap_or(0);
+            accounting.push((
+                count("injected.sim.shard"),
+                count("recovered.sim_serial_fallback"),
+            ));
         }
-        gtpin_faults::take_accounting();
         gtpin_faults::disable();
+        assert!(
+            accounting.iter().all(|a| *a == accounting[0]),
+            "rate = {rate}: accounting moved with the worker count: {accounting:?}"
+        );
+        if rate == 1.0 {
+            assert!(accounting[0].1 >= 1, "rate 1.0 must fall back");
+        }
     }
 }

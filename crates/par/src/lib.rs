@@ -19,6 +19,12 @@
 //! stays cheap enough for per-kernel-launch use. A fan-out nested in
 //! another, or issued while another caller holds the pool, runs inline
 //! on its caller instead of oversubscribing the cores.
+//!
+//! [`parallel_indexed`], [`parallel_map`] and [`parallel_fill`] own
+//! the claiming and collection. [`fan_out`] hands the pool's worker
+//! indices to callers that partition their own work, such as the
+//! detailed simulator's epoch loop, which claims EUs and reconciles
+//! their logs in index order itself.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -272,7 +278,7 @@ where
         }
         *lock_part(&parts[w]) = Some((local, lost));
     });
-    note_inline(&mut fanout, inline);
+    note_inline(Some(&mut fanout), inline);
 
     let mut out: Vec<Option<R>> = Vec::with_capacity(n);
     out.resize_with(n, || None);
@@ -324,6 +330,25 @@ where
         .collect()
 }
 
+/// Run `body(w)` on the pool for callers that partition their own
+/// work: worker 0 on the caller, workers `1..workers` on whichever
+/// parked helpers join. Any of `1..workers` may never run (the pool
+/// runs a nested or concurrent fan-out inline, bumping
+/// `par.inline_fanouts`), so `body` must claim its work from shared
+/// state. Returns once every worker that ran has left `body`; a panic
+/// in any of them is re-raised here. With `workers <= 1` this is just
+/// `body(0)`. No fault site is consulted.
+pub fn fan_out<F>(workers: usize, body: F)
+where
+    F: Fn(usize) + Sync,
+{
+    if workers <= 1 {
+        body(0);
+    } else {
+        note_inline(None, pool::run(workers, &body));
+    }
+}
+
 /// Lock a per-worker result slot or a claimed fill chunk. Each is
 /// locked by one worker only; if a task panics while a chunk is held,
 /// the panic reaches the caller, which then reads nothing, so a
@@ -332,14 +357,15 @@ fn lock_part<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
     slot.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Record on the fan-out's span, and in `par.inline_fanouts`, that
-/// the pool declined the fan-out and why.
-fn note_inline(span: &mut gtpin_obs::SpanGuard<'_>, inline: Option<pool::Inline>) {
+/// Record that the pool declined a fan-out: count it in
+/// `par.inline_fanouts` and, when the fan-out has a span, say why on
+/// it. Both are no-ops with telemetry off.
+fn note_inline(span: Option<&mut gtpin_obs::SpanGuard<'_>>, inline: Option<pool::Inline>) {
     if let Some(why) = inline {
-        if span.active() {
+        if let Some(span) = span {
             span.arg_str("inline", why.as_str());
-            gtpin_obs::counter_add("par.inline_fanouts", 1);
         }
+        gtpin_obs::counter_add("par.inline_fanouts", 1);
     }
 }
 
@@ -407,7 +433,7 @@ where
             *slot = f(base + j);
         }
     });
-    note_inline(&mut span, inline);
+    note_inline(Some(&mut span), inline);
 }
 
 /// The faults registry is process-global and one test in this crate

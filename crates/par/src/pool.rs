@@ -1,4 +1,4 @@
-//! The one persistent worker pool behind every fan-out in this crate.
+//! The one persistent worker pool behind every fan-out in the workspace.
 //!
 //! Helper threads park on a condvar for the life of the process. A
 //! fan-out publishes one job; the caller runs worker 0 itself and at

@@ -28,10 +28,13 @@ GTPIN_THREADS=4 cargo test -q -p subset-select --test prop_parallel
 
 echo "== pool gate: stress, draining-race and panic tests, optimized, 5 runs"
 # The pool's publish-while-draining race is timing-sensitive and a
-# debug build can hide it, so these run in release, repeatedly.
+# debug build can hide it, so these run in release, repeatedly, with
+# the detailed simulator's tests, whose epoch loop fans out on the
+# same pool.
 for run in 1 2 3 4 5; do
     cargo test -q --release -p gtpin-par --lib -- --test-threads 4 \
         pool:: injected_worker_panics
+    cargo test -q --release -p gpu-device --lib -- detailed::
 done
 
 echo "== sharded-simulator gate: detailed sim serial vs 4 workers, digests diffed"
