@@ -72,10 +72,13 @@ impl CacheStats {
 ///
 /// The tag store is one flat `Vec` (set-major, `ways` entries per
 /// set) rather than a `Vec` per set: the epoch-sharded detailed
-/// simulator clones the whole cache once per EU per epoch, and a
-/// flat store makes that clone a single allocation + memcpy. It is
-/// the only scratch copy: the parallel functional executor's workers
-/// log their accesses instead, and the drain replays the logs here.
+/// simulator refreshes each worker's scratch cache from the master
+/// with [`Cache::copy_state_from`] before every EU it advances (the
+/// scratch itself is cloned once per worker per launch), and a flat
+/// store makes that refresh a single memcpy. The detailed simulator
+/// keeps the only scratch copies: the parallel functional executor's
+/// workers log their accesses instead, and the drain replays the
+/// logs here.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,

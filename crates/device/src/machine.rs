@@ -49,10 +49,40 @@ impl ThreadState {
         }
     }
 
+    /// Every lane of `src` at once, copied so a destination that
+    /// aliases the source cannot change it mid-instruction.
+    fn row(&self, src: Src) -> [u32; NUM_LANES] {
+        match src {
+            Src::Null => [0; NUM_LANES],
+            Src::Reg(r) => self.regs[r.0 as usize],
+            Src::Imm(v) => [v; NUM_LANES],
+        }
+    }
+
     pub fn lane_active(&self, pred: Option<Predicate>, lane: usize) -> bool {
         match pred {
             None => true,
             Some(p) => self.flags[p.flag.index()][lane] ^ p.invert,
+        }
+    }
+
+    /// The lanes `pred` enables, or `None` when it enables all of them.
+    fn enabled(&self, pred: Option<Predicate>) -> Option<[bool; NUM_LANES]> {
+        pred.map(|p| self.flags[p.flag.index()].map(|f| f ^ p.invert))
+    }
+}
+
+/// Store `vals` into the leading lanes of `row`, skipping the lanes
+/// `enabled` leaves off.
+fn store<T: Copy>(row: &mut [T; NUM_LANES], vals: &[T], enabled: Option<[bool; NUM_LANES]>) {
+    match enabled {
+        None => row[..vals.len()].copy_from_slice(vals),
+        Some(on) => {
+            for ((slot, &v), on) in row.iter_mut().zip(vals).zip(on) {
+                if on {
+                    *slot = v;
+                }
+            }
         }
     }
 }
@@ -122,41 +152,32 @@ pub(crate) fn step(
     }
 }
 
+/// ALU instructions and `cmp` resolve their operands, predicate and
+/// opcode once, then run one lane loop: sources load as whole rows
+/// before anything is written (so `dst` may alias a source), the
+/// opcode's scalar rule runs on the instruction's own width only, and
+/// the predicate gates the store. Every ALU rule is pure, so computing
+/// a disabled lane and dropping it equals never computing it.
 fn exec_alu(st: &mut ThreadState, instr: &Instruction) {
-    let lanes = instr.exec_size.lanes();
     let Some(dst) = instr.dst else { return };
-    // GEN `sel` with a predicate is a per-lane select, not a gated
-    // write: every lane writes, choosing src0 where the (possibly
-    // inverted) flag holds and src1 elsewhere.
-    if instr.opcode == Opcode::Sel {
-        if let Some(p) = instr.pred {
-            for lane in 0..lanes {
-                let take_first = st.flags[p.flag.index()][lane] ^ p.invert;
-                let v = if take_first {
-                    st.read(instr.srcs[0], lane)
-                } else {
-                    st.read(instr.srcs[1], lane)
-                };
-                st.regs[dst.0 as usize][lane] = v;
+    let lanes = instr.exec_size.lanes();
+    let [a, b, c] = instr.srcs.map(|src| st.row(src));
+    let mut v = [0u32; NUM_LANES];
+    let out = &mut v[..lanes];
+    match (instr.opcode, st.enabled(instr.pred)) {
+        // GEN `sel` with a predicate is a per-lane select, not a gated
+        // write: every lane writes, choosing src0 where the (possibly
+        // inverted) flag holds and src1 elsewhere.
+        (Opcode::Sel, Some(take_first)) => {
+            for (lane, o) in out.iter_mut().enumerate() {
+                *o = if take_first[lane] { a[lane] } else { b[lane] };
             }
-            return;
+            store(&mut st.regs[dst.0 as usize], out, None);
         }
-    }
-    for lane in 0..lanes {
-        if !st.lane_active(instr.pred, lane) {
-            continue;
+        (op, enabled) => {
+            op.eval_lanes(out, &a, &b, &c);
+            store(&mut st.regs[dst.0 as usize], out, enabled);
         }
-        let a = st.read(instr.srcs[0], lane);
-        let v = match instr.opcode.num_sources() {
-            0 | 1 => instr.opcode.eval_unary(a),
-            2 => instr.opcode.eval_binary(a, st.read(instr.srcs[1], lane)),
-            _ => instr.opcode.eval_ternary(
-                a,
-                st.read(instr.srcs[1], lane),
-                st.read(instr.srcs[2], lane),
-            ),
-        };
-        st.regs[dst.0 as usize][lane] = v;
     }
 }
 
@@ -165,14 +186,13 @@ fn exec_cmp(st: &mut ThreadState, instr: &Instruction) {
     let (Some(cond), Some(flag)) = (instr.cond, instr.flag) else {
         return;
     };
-    for lane in 0..lanes {
-        if !st.lane_active(instr.pred, lane) {
-            continue;
-        }
-        let a = st.read(instr.srcs[0], lane);
-        let b = st.read(instr.srcs[1], lane);
-        st.flags[flag.index()][lane] = cond.eval(a, b);
-    }
+    // Read before the write below: the flag written may be the one
+    // the predicate reads, and each lane sees its own pre-`cmp` bit.
+    let enabled = st.enabled(instr.pred);
+    let (a, b) = (st.row(instr.srcs[0]), st.row(instr.srcs[1]));
+    let mut v = [false; NUM_LANES];
+    cond.eval_lanes(&mut v[..lanes], &a, &b);
+    store(&mut st.flags[flag.index()], &v[..lanes], enabled);
 }
 
 fn exec_send(
@@ -202,12 +222,13 @@ fn exec_send(
                     stats.global_sends += 1;
                     stats.bytes_read += desc.bytes as u64;
                     if let Some(dst) = instr.dst {
-                        for lane in 0..instr.exec_size.lanes() {
-                            if st.lane_active(instr.pred, lane) {
-                                st.regs[dst.0 as usize][lane] =
-                                    synthetic_read(addr + lane as u64 * 4);
-                            }
+                        let mut v = [0u32; NUM_LANES];
+                        let out = &mut v[..instr.exec_size.lanes()];
+                        for (lane, o) in out.iter_mut().enumerate() {
+                            *o = synthetic_read(addr + lane as u64 * 4);
                         }
+                        let enabled = st.enabled(instr.pred);
+                        store(&mut st.regs[dst.0 as usize], out, enabled);
                     }
                 }
                 SendOp::Write | SendOp::AtomicAdd => {
@@ -246,6 +267,224 @@ fn exec_send(
             if desc.op == SendOp::ReadTimer {
                 if let Some(dst) = instr.dst {
                     st.regs[dst.0 as usize][0] = st.issue_cycles as u32;
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gen_isa::{CondMod, ExecSize, FlagReg, OpcodeCategory, Reg, SendDescriptor};
+
+    /// The per-lane semantics the lane kernels replace: operands,
+    /// predicate and opcode re-resolved for every lane, straight from
+    /// the scalar `eval_*` and `CondMod::eval` rules.
+    fn reference(st: &mut ThreadState, instr: &Instruction) {
+        let lanes = instr.exec_size.lanes();
+        match instr.opcode {
+            Opcode::Cmp => {
+                let (Some(cond), Some(flag)) = (instr.cond, instr.flag) else {
+                    return;
+                };
+                for lane in 0..lanes {
+                    if st.lane_active(instr.pred, lane) {
+                        let (a, b) = (st.read(instr.srcs[0], lane), st.read(instr.srcs[1], lane));
+                        st.flags[flag.index()][lane] = cond.eval(a, b);
+                    }
+                }
+            }
+            Opcode::Send => {
+                let (Some(dst), Some(desc)) = (instr.dst, instr.send) else {
+                    return;
+                };
+                assert_eq!((desc.surface, desc.op), (Surface::Global, SendOp::Read));
+                let addr = st.read(instr.srcs[0], 0) as u64;
+                for lane in 0..lanes {
+                    if st.lane_active(instr.pred, lane) {
+                        st.regs[dst.0 as usize][lane] = synthetic_read(addr + lane as u64 * 4);
+                    }
+                }
+            }
+            op => {
+                let Some(dst) = instr.dst else { return };
+                for lane in 0..lanes {
+                    let v = match instr.pred {
+                        Some(p) if op == Opcode::Sel => {
+                            let take_first = st.flags[p.flag.index()][lane] ^ p.invert;
+                            st.read(instr.srcs[if take_first { 0 } else { 1 }], lane)
+                        }
+                        _ if !st.lane_active(instr.pred, lane) => continue,
+                        _ => {
+                            let a = st.read(instr.srcs[0], lane);
+                            let b = st.read(instr.srcs[1], lane);
+                            let c = st.read(instr.srcs[2], lane);
+                            match op.num_sources() {
+                                0 | 1 => op.eval_unary(a),
+                                2 => op.eval_binary(a, b),
+                                _ => op.eval_ternary(a, b, c),
+                            }
+                        }
+                    };
+                    st.regs[dst.0 as usize][lane] = v;
+                }
+            }
+        }
+    }
+
+    /// A thread whose low registers and both flags hold a mix of edge
+    /// and pseudo-random lane values.
+    fn seeded_state(seed: u64) -> ThreadState {
+        let mut st = ThreadState::new(seed, &[]);
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let edges = [0, 1, 31, 32, 0xFFFF, 0x8000_0000, u32::MAX];
+        for r in 1..12 {
+            for lane in 0..NUM_LANES {
+                let bits = next();
+                st.regs[r][lane] = if bits % 4 == 0 {
+                    edges[(bits >> 8) as usize % edges.len()]
+                } else {
+                    (bits >> 16) as u32
+                };
+            }
+        }
+        for flag in &mut st.flags {
+            for f in flag.iter_mut() {
+                *f = next() & 1 == 1;
+            }
+        }
+        st
+    }
+
+    const PREDS: [Option<Predicate>; 3] = [
+        None,
+        Some(Predicate {
+            flag: FlagReg::F0,
+            invert: false,
+        }),
+        Some(Predicate {
+            flag: FlagReg::F1,
+            invert: true,
+        }),
+    ];
+
+    /// Run `instr` through `step` and through the reference on equal
+    /// states, and require equal registers and flags afterwards.
+    fn assert_matches_reference(instr: &Instruction, seed: u64) {
+        let mut fast = seeded_state(seed);
+        let mut slow = seeded_state(seed);
+        let outcome = step(
+            &mut fast,
+            instr,
+            None,
+            &mut TraceBuffer::new(),
+            &mut ExecutionStats::default(),
+            None,
+        );
+        assert_eq!(outcome, StepOutcome::Next, "{instr:?}");
+        reference(&mut slow, instr);
+        assert!(fast.regs == slow.regs, "registers differ after {instr:?}");
+        assert_eq!(fast.flags, slow.flags, "flags differ after {instr:?}");
+    }
+
+    #[test]
+    fn lane_kernels_match_the_per_lane_reference() {
+        let r = |i: u8| Src::Reg(Reg(i));
+        // (dst, srcs): distinct registers, dst aliasing src0 or src1,
+        // an immediate operand and null operands.
+        let shapes = [
+            (Reg(10), [r(1), r(2), r(3)]),
+            (Reg(1), [r(1), r(2), r(3)]),
+            (Reg(2), [r(1), r(2), r(3)]),
+            (Reg(3), [r(3), r(3), r(3)]),
+            (Reg(10), [r(4), Src::Imm(0x8000_0005), r(5)]),
+            (Reg(10), [Src::Imm(7), r(6), Src::Null]),
+            (Reg(10), [r(7), Src::Null, Src::Null]),
+            (Reg(10), [Src::Null, r(8), r(9)]),
+        ];
+        let alu = Opcode::ALL.iter().filter(|op| {
+            !op.is_send() && op.category() != OpcodeCategory::Control && **op != Opcode::Cmp
+        });
+        let mut seed = 0;
+        for &op in alu {
+            for w in ExecSize::ALL {
+                for pred in PREDS {
+                    for (dst, srcs) in shapes {
+                        seed += 1;
+                        let mut instr = Instruction::new(op, w);
+                        instr.dst = Some(dst);
+                        instr.srcs = srcs;
+                        instr.pred = pred;
+                        assert_matches_reference(&instr, seed);
+                    }
+                }
+            }
+        }
+        assert!(seed > 0);
+    }
+
+    #[test]
+    fn compares_match_the_per_lane_reference() {
+        let conds = [
+            CondMod::Eq,
+            CondMod::Ne,
+            CondMod::Lt,
+            CondMod::Le,
+            CondMod::Gt,
+            CondMod::Ge,
+        ];
+        let mut seed = 1000;
+        for cond in conds {
+            for w in ExecSize::ALL {
+                for pred in PREDS {
+                    // f0 and f1 both written, so `+f0 → f0` and
+                    // `-f1 → f1` write the flag their predicate reads.
+                    for flag in [FlagReg::F0, FlagReg::F1] {
+                        for srcs in [
+                            [Src::Reg(Reg(1)), Src::Reg(Reg(2)), Src::Null],
+                            [Src::Reg(Reg(3)), Src::Imm(0x8000_0000), Src::Null],
+                            [Src::Null, Src::Reg(Reg(4)), Src::Null],
+                        ] {
+                            seed += 1;
+                            let mut instr = Instruction::new(Opcode::Cmp, w);
+                            instr.cond = Some(cond);
+                            instr.flag = Some(flag);
+                            instr.srcs = srcs;
+                            instr.pred = pred;
+                            assert_matches_reference(&instr, seed);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn global_reads_match_the_per_lane_reference() {
+        let mut seed = 5000;
+        for w in ExecSize::ALL {
+            for pred in PREDS {
+                // dst aliasing the address register included: the
+                // address is read before any lane is written.
+                for dst in [Reg(10), Reg(1)] {
+                    seed += 1;
+                    let mut instr = Instruction::new(Opcode::Send, w);
+                    instr.dst = Some(dst);
+                    instr.srcs[0] = Src::Reg(Reg(1));
+                    instr.pred = pred;
+                    instr.send = Some(SendDescriptor {
+                        op: SendOp::Read,
+                        surface: Surface::Global,
+                        bytes: 4 * w.lanes() as u32,
+                    });
+                    assert_matches_reference(&instr, seed);
                 }
             }
         }

@@ -81,6 +81,24 @@ impl CondMod {
         }
     }
 
+    /// [`CondMod::eval`] on every lane of `out`, reading lane `i` of
+    /// `a` and `b`. The relation is matched once per call, not per
+    /// lane.
+    pub fn eval_lanes(self, out: &mut [bool], a: &[u32], b: &[u32]) {
+        macro_rules! each {
+            ($($c:ident)*) => {
+                match self {
+                    $(CondMod::$c => {
+                        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                            *o = CondMod::$c.eval(x, y);
+                        }
+                    })*
+                }
+            };
+        }
+        each!(Eq Ne Lt Le Gt Ge)
+    }
+
     /// Encoding byte (1–6).
     pub fn to_byte(self) -> u8 {
         self as u8
@@ -377,6 +395,22 @@ mod tests {
         assert!(CondMod::Lt.eval(1, 2));
         assert!(!CondMod::Lt.eval(2, 2));
         assert!(CondMod::Ge.eval(2, 2));
+        let a = [0, 1, 2, u32::MAX, 5];
+        let b = [0, 2, 1, 0, 5];
+        for c in [
+            CondMod::Eq,
+            CondMod::Ne,
+            CondMod::Lt,
+            CondMod::Le,
+            CondMod::Gt,
+            CondMod::Ge,
+        ] {
+            let mut out = [false; 4];
+            c.eval_lanes(&mut out, &a, &b);
+            for (i, &got) in out.iter().enumerate() {
+                assert_eq!(got, c.eval(a[i], b[i]), "{} lane {i}", c.suffix());
+            }
+        }
         assert_eq!(CondMod::from_byte(0), None);
         assert_eq!(CondMod::from_byte(7), None);
     }

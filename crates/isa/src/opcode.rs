@@ -231,6 +231,56 @@ impl Opcode {
             _ => a,
         }
     }
+
+    /// Evaluate this opcode on every lane of `out`, reading lane `i`
+    /// of the source rows `a`, `b` and `c` (rows past
+    /// [`Opcode::num_sources`] are ignored).
+    ///
+    /// Lane for lane the result is [`Opcode::eval_unary`],
+    /// [`Opcode::eval_binary`] or [`Opcode::eval_ternary`], picked by
+    /// the opcode's arity. The opcode is matched once per call, and each
+    /// arm runs the scalar rule with a constant opcode, so the lane loop
+    /// carries no dispatch. Only `out.len()` lanes are computed.
+    pub fn eval_lanes(self, out: &mut [u32], a: &[u32], b: &[u32], c: &[u32]) {
+        macro_rules! by_arity {
+            (unary: $($u:ident)*; binary: $($bi:ident)*; ternary: $($t:ident)*;) => {
+                match self {
+                    $(Opcode::$u => map1(out, a, |x| Opcode::$u.eval_unary(x)),)*
+                    $(Opcode::$bi => map2(out, a, b, |x, y| Opcode::$bi.eval_binary(x, y)),)*
+                    $(Opcode::$t => map3(out, a, b, c, |x, y, z| Opcode::$t.eval_ternary(x, y, z)),)*
+                    // Control, compare and send opcodes are not ALU
+                    // operations; their scalar rules return `a`.
+                    other => map1(out, a, |x| other.eval_unary(x)),
+                }
+            };
+        }
+        by_arity! {
+            unary: Mov Not Frc Rndd Inv Sqrt Exp Log Sin Cos;
+            binary: Sel And Or Xor Shl Shr Asr Add Sub Mul Min Max Avg Dp4;
+            ternary: Mad Lrp;
+        }
+    }
+}
+
+#[inline(always)]
+fn map1(out: &mut [u32], a: &[u32], f: impl Fn(u32) -> u32) {
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o = f(x);
+    }
+}
+
+#[inline(always)]
+fn map2(out: &mut [u32], a: &[u32], b: &[u32], f: impl Fn(u32, u32) -> u32) {
+    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+        *o = f(x, y);
+    }
+}
+
+#[inline(always)]
+fn map3(out: &mut [u32], a: &[u32], b: &[u32], c: &[u32], f: impl Fn(u32, u32, u32) -> u32) {
+    for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
+        *o = f(x, y, z);
+    }
 }
 
 impl std::fmt::Display for Opcode {
@@ -402,6 +452,47 @@ mod tests {
             "inverse of zero saturates"
         );
         assert_eq!(Opcode::Log.eval_unary(0), 0, "log clamps its argument to 1");
+    }
+
+    /// Lane values that hit the edge cases of the scalar rules.
+    const LANE_VALUES: [u32; 16] = [
+        0,
+        1,
+        2,
+        3,
+        31,
+        32,
+        0xFFFF,
+        0x1_0000,
+        0x7FFF_FFFF,
+        0x8000_0000,
+        0xDEAD_BEEF,
+        0x1234_5678,
+        u32::MAX - 1,
+        u32::MAX,
+        7,
+        100,
+    ];
+
+    #[test]
+    fn eval_lanes_matches_the_scalar_rule_of_every_opcode() {
+        let a = LANE_VALUES;
+        let b: Vec<u32> = a.iter().rev().copied().collect();
+        let c: Vec<u32> = a.iter().map(|x| x.rotate_left(9)).collect();
+        for &op in Opcode::ALL {
+            for w in ExecSize::ALL {
+                let mut out = vec![0xA5A5_A5A5; w.lanes()];
+                op.eval_lanes(&mut out, &a, &b, &c);
+                for (i, &got) in out.iter().enumerate() {
+                    let want = match op.num_sources() {
+                        0 | 1 => op.eval_unary(a[i]),
+                        2 => op.eval_binary(a[i], b[i]),
+                        _ => op.eval_ternary(a[i], b[i], c[i]),
+                    };
+                    assert_eq!(got, want, "{op} {w} lane {i}");
+                }
+            }
+        }
     }
 
     #[test]

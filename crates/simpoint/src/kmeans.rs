@@ -103,14 +103,18 @@ pub fn kmeans_with_threads(
     let mut centroids = plus_plus_seed(points, weights, k, &mut rng);
     let mut assignments = vec![0usize; points.len()];
 
-    let mut scratch = vec![0usize; points.len()];
+    // Each point's nearest centroid and its squared distance to it.
+    let mut found = vec![(0usize, 0.0f64); points.len()];
     for _ in 0..max_iters {
         // Assign: each point's nearest-centroid search is independent.
-        gtpin_par::parallel_fill(&mut scratch, threads, PAR_MIN_POINTS, |i| {
-            nearest(&points[i], &centroids).0
+        gtpin_par::parallel_fill(&mut found, threads, PAR_MIN_POINTS, |i| {
+            nearest(&points[i], &centroids)
         });
-        let mut changed = assignments != scratch;
-        std::mem::swap(&mut assignments, &mut scratch);
+        let mut changed = false;
+        for (a, &(best, _)) in assignments.iter_mut().zip(&found) {
+            changed |= *a != best;
+            *a = best;
+        }
 
         // Update.
         let dims = points[0].len();
@@ -123,15 +127,7 @@ pub fn kmeans_with_threads(
                 *s += weights[i] * x;
             }
         }
-        // Reseed candidate for empty clusters: the point farthest
-        // from its assigned (pre-update) centroid.
-        let far = (0..points.len())
-            .max_by(|&a, &b| {
-                let da = distance2(&points[a], &centroids[assignments[a]]);
-                let db = distance2(&points[b], &centroids[assignments[b]]);
-                da.partial_cmp(&db).expect("finite distances")
-            })
-            .expect("points is non-empty");
+        let far = farthest(points, &centroids, &found);
         for (c, centroid) in centroids.iter_mut().enumerate() {
             if masses[c] > 0.0 {
                 for (slot, s) in centroid.iter_mut().zip(&sums[c]) {
@@ -150,12 +146,11 @@ pub fn kmeans_with_threads(
 
     // Final assignment + SSE: nearest searches fan out, the SSE
     // reduction stays serial in point order (fixed f64 fold order).
-    let mut finals = vec![(0usize, 0.0f64); points.len()];
-    gtpin_par::parallel_fill(&mut finals, threads, PAR_MIN_POINTS, |i| {
+    gtpin_par::parallel_fill(&mut found, threads, PAR_MIN_POINTS, |i| {
         nearest(&points[i], &centroids)
     });
     let mut sse = 0.0;
-    for (i, &(best, d2)) in finals.iter().enumerate() {
+    for (i, &(best, d2)) in found.iter().enumerate() {
         assignments[i] = best;
         sse += weights[i] * d2;
     }
@@ -165,6 +160,27 @@ pub fn kmeans_with_threads(
         centroids,
         sse,
     }
+}
+
+/// Reseed candidate for empty clusters: the point farthest from its
+/// assigned (pre-update) centroid, the last one on ties.
+///
+/// `found` holds each point's `nearest` result, whose distance is
+/// `distance2` to that very centroid whenever it is finite. Where it
+/// is not (no centroid measured below infinity), the distance is
+/// measured again, so a NaN still panics here as it always has.
+fn farthest(points: &[Vec<f64>], centroids: &[Vec<f64>], found: &[(usize, f64)]) -> usize {
+    let d2 = |i: usize| {
+        let (c, d) = found[i];
+        if d.is_finite() {
+            d
+        } else {
+            distance2(&points[i], &centroids[c])
+        }
+    };
+    (0..points.len())
+        .max_by(|&a, &b| d2(a).partial_cmp(&d2(b)).expect("finite distances"))
+        .expect("points is non-empty")
 }
 
 fn nearest(p: &[f64], centroids: &[Vec<f64>]) -> (usize, f64) {
@@ -302,6 +318,130 @@ mod tests {
         let r = kmeans(&pts, &w, 2, 5, 100);
         let total: usize = (0..r.k()).map(|c| r.members(c).len()).sum();
         assert_eq!(total, pts.len());
+    }
+
+    /// The Lloyd loop with the reseed rule measured afresh, two
+    /// `distance2` calls per comparison, as it was before `farthest`
+    /// reused `nearest`'s distances; serial. Also returns how many
+    /// empty clusters were reseeded.
+    fn kmeans_measuring_far(
+        points: &[Vec<f64>],
+        weights: &[f64],
+        k: usize,
+        seed: u64,
+        max_iters: usize,
+    ) -> (KmeansResult, usize) {
+        let k = k.clamp(1, points.len());
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut centroids = plus_plus_seed(points, weights, k, &mut rng);
+        let mut assignments = vec![0usize; points.len()];
+        let mut reseeds = 0;
+        for _ in 0..max_iters {
+            let next: Vec<usize> = points.iter().map(|p| nearest(p, &centroids).0).collect();
+            let mut changed = assignments != next;
+            assignments = next;
+            let dims = points[0].len();
+            let mut sums = vec![vec![0.0; dims]; centroids.len()];
+            let mut masses = vec![0.0; centroids.len()];
+            for (i, p) in points.iter().enumerate() {
+                let c = assignments[i];
+                masses[c] += weights[i];
+                for (s, &x) in sums[c].iter_mut().zip(p) {
+                    *s += weights[i] * x;
+                }
+            }
+            // `total_cmp` stands in for `partial_cmp` + `expect`: the
+            // two agree on the NaN-free distances this test feeds in.
+            let far = (0..points.len())
+                .max_by(|&a, &b| {
+                    let da = distance2(&points[a], &centroids[assignments[a]]);
+                    let db = distance2(&points[b], &centroids[assignments[b]]);
+                    da.total_cmp(&db)
+                })
+                .unwrap_or(0);
+            for (c, centroid) in centroids.iter_mut().enumerate() {
+                if masses[c] > 0.0 {
+                    for (slot, s) in centroid.iter_mut().zip(&sums[c]) {
+                        *slot = s / masses[c];
+                    }
+                } else {
+                    *centroid = points[far].clone();
+                    reseeds += 1;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        let mut sse = 0.0;
+        for (i, p) in points.iter().enumerate() {
+            let (best, d2) = nearest(p, &centroids);
+            assignments[i] = best;
+            sse += weights[i] * d2;
+        }
+        let result = KmeansResult {
+            assignments,
+            centroids,
+            sse,
+        };
+        (result, reseeds)
+    }
+
+    #[test]
+    fn empty_cluster_reseeds_match_the_measured_far_rule_at_every_thread_count() {
+        // Enough points that the assignment step fans out, but only
+        // 27 distinct ones: asked for more clusters than that,
+        // k-means++ seeds coincident centroids and Lloyd finds
+        // clusters empty.
+        let mut points = Vec::new();
+        for i in 0..(PAR_MIN_POINTS + 300) {
+            points.push(match i % 7 {
+                0..=4 => vec![(i % 3) as f64, 1.0, -2.0],
+                5 => vec![5.0 + (i % 11) as f64 * 0.25, 3.0, 0.5],
+                _ => vec![-3.0, (i % 13) as f64 * 0.75, 8.0],
+            });
+        }
+        let weights: Vec<f64> = (0..points.len()).map(|i| 1.0 + (i % 4) as f64).collect();
+        let dup_only = vec![vec![1.0, 2.0]; PAR_MIN_POINTS + 8];
+        let dup_weights = vec![1.0; dup_only.len()];
+        // Three distinct points, all sitting on centroids: every
+        // distance ties at zero, and the rule's last-on-ties choice
+        // (`[1, 0]`, not the first point `[-1, 0]`) is what reseeds.
+        let mut ends = vec![vec![-1.0, 0.0]];
+        ends.extend(vec![vec![0.0, 0.0]; PAR_MIN_POINTS]);
+        ends.push(vec![1.0, 0.0]);
+        let ends_weights = vec![1.0; ends.len()];
+        for (pts, w, k) in [
+            (&points, &weights, 30),
+            (&points, &weights, 45),
+            (&dup_only, &dup_weights, 5),
+            (&ends, &ends_weights, 4),
+        ] {
+            for seed in [1, 2] {
+                let (want, reseeds) = kmeans_measuring_far(pts, w, k, seed, 12);
+                assert!(reseeds > 0, "k={k} seed={seed}: no cluster was reseeded");
+                for threads in 1..=8 {
+                    let got = kmeans_with_threads(pts, w, k, seed, 12, threads);
+                    assert_eq!(got.assignments, want.assignments, "threads={threads}");
+                    assert_eq!(got.sse.to_bits(), want.sse.to_bits(), "threads={threads}");
+                    let bits = |r: &KmeansResult| -> Vec<Vec<u64>> {
+                        r.centroids
+                            .iter()
+                            .map(|c| c.iter().map(|x| x.to_bits()).collect())
+                            .collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "threads={threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite distances")]
+    fn nan_distances_still_panic() {
+        let pts = vec![vec![f64::NAN], vec![f64::NAN], vec![1.0]];
+        kmeans_with_threads(&pts, &[1.0; 3], 2, 4, 10, 1);
     }
 
     #[test]
