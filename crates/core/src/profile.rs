@@ -5,6 +5,7 @@
 use gen_isa::{ExecSize, OpcodeCategory};
 use serde::{Deserialize, Serialize};
 
+use crate::rewriter::block_probe_stats;
 use crate::static_info::StaticKernelInfo;
 
 /// Everything GT-Pin learned about one kernel invocation.
@@ -74,7 +75,7 @@ pub struct KernelOverhead {
 }
 
 /// The full profile of one program execution under GT-Pin.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProgramProfile {
     /// Application name (filled by the caller; the device does not
     /// know it).
@@ -156,7 +157,8 @@ impl ProgramProfile {
 
     /// Aggregate static→dynamic instrumentation overhead estimate:
     /// instrumented dynamic instructions ÷ original dynamic
-    /// instructions, weighted by block execution counts.
+    /// instructions, where every block execution ran one counter
+    /// probe of [`block_probe_stats`]`().instructions` instructions.
     pub fn dynamic_overhead_factor(&self) -> f64 {
         let app = self.total_instructions();
         if app == 0 {
@@ -169,8 +171,7 @@ impl ProgramProfile {
             }
             return 1.0;
         }
-        // Each basic-block entry costs 3 extra instructions.
-        let injected: u64 = self.total_bb_executions() * 3;
+        let injected = self.total_bb_executions() * block_probe_stats().instructions;
         (app + injected) as f64 / app as f64
     }
 }

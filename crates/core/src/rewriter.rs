@@ -20,6 +20,9 @@
 
 use gen_isa::encode::{decode_stream, encode_stream, leaders};
 use gen_isa::{ExecSize, Instruction, Opcode, Reg, Src, Surface};
+use gpu_device::executor::instruction_cost;
+use gpu_device::memory::TRACE_MESSAGE_BYTES;
+use gpu_device::ExecutionStats;
 use serde::{Deserialize, Serialize};
 
 use crate::static_info::StaticKernelInfo;
@@ -59,6 +62,83 @@ impl Default for RewriteConfig {
             naive_per_instruction_counters: false,
         }
     }
+}
+
+impl RewriteConfig {
+    /// The counters a launch of the *original* binary produces,
+    /// recovered from the counters of the same launch under this
+    /// configuration's rewrite.
+    ///
+    /// The inversion is exact because the probes touch nothing the
+    /// application sees: they use only the reserved registers, and
+    /// their trace traffic bypasses the cache, so memory bytes, sends,
+    /// cache hits and misses and hardware threads are the
+    /// application's own. What the probes add is a fixed sequence per
+    /// basic-block entry, and each entry sends exactly one trace
+    /// message, so the device's `trace_bytes` counter says how many
+    /// entries ran. Subtracting that many sequences' instructions,
+    /// categories, widths and issue cycles — read off the injected
+    /// instructions themselves — leaves the native counters, and the
+    /// trace counters fall to zero.
+    ///
+    /// Returns `None` for any configuration but block counters alone
+    /// (kernel timers, memory tracing and the naive ablation inject
+    /// data-dependent or per-instruction code), and for counters no
+    /// block-counter rewrite can have produced.
+    pub fn native_stats(&self, instrumented: &ExecutionStats) -> Option<ExecutionStats> {
+        let block_counters_only = self.count_basic_blocks
+            && !self.time_kernels
+            && !self.trace_memory
+            && !self.naive_per_instruction_counters;
+        if !block_counters_only {
+            return None;
+        }
+        let probe = block_probe_stats();
+        if !instrumented.trace_bytes.is_multiple_of(probe.trace_bytes) {
+            return None;
+        }
+        let entries = instrumented.trace_bytes / probe.trace_bytes;
+        if instrumented.trace_cycles != entries.checked_mul(probe.trace_cycles)? {
+            return None;
+        }
+        let less = |have: u64, per_entry: u64| have.checked_sub(entries.checked_mul(per_entry)?);
+        let mut per_category = instrumented.per_category;
+        for (n, &p) in per_category.iter_mut().zip(&probe.per_category) {
+            *n = less(*n, p)?;
+        }
+        let mut per_width = instrumented.per_width;
+        for (n, &p) in per_width.iter_mut().zip(&probe.per_width) {
+            *n = less(*n, p)?;
+        }
+        Some(ExecutionStats {
+            instructions: less(instrumented.instructions, probe.instructions)?,
+            per_category,
+            per_width,
+            issue_cycles: less(instrumented.issue_cycles, probe.issue_cycles)?,
+            trace_bytes: 0,
+            trace_cycles: 0,
+            trace_dropped: 0,
+            trace_quarantined: 0,
+            trace_early_drains: 0,
+            ..*instrumented
+        })
+    }
+}
+
+/// What one basic-block entry's counter probe adds to a launch's
+/// device counters, counted from the injected instructions the way
+/// the executor counts every instruction it runs.
+pub fn block_probe_stats() -> ExecutionStats {
+    let mut probe = ExecutionStats::default();
+    for instr in counter_sequence(0) {
+        let cost = instruction_cost(&instr);
+        probe.count_instruction(instr.opcode.category(), instr.exec_size, cost);
+        if matches!(instr.send, Some(d) if d.surface == Surface::TraceBuffer) {
+            probe.trace_cycles += cost;
+            probe.trace_bytes += TRACE_MESSAGE_BYTES;
+        }
+    }
+    probe
 }
 
 /// One instrumented global-send site.

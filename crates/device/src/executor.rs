@@ -760,7 +760,7 @@ mod tests {
             .execute_launch(&flat, &[], 8 * 16)
             .unwrap();
             assert_eq!(trace.slot(3), 8, "threads = {threads}");
-            assert_eq!(stats.trace_bytes, 8 * 64);
+            assert_eq!(stats.trace_bytes, 8 * crate::memory::TRACE_MESSAGE_BYTES);
         }
     }
 

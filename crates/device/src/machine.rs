@@ -8,7 +8,7 @@ use ocl_runtime::api::ArgValue;
 
 use crate::cache::Cache;
 use crate::executor::DISPATCH_WIDTH;
-use crate::memory::{buffer_base, synthetic_read, TraceBuffer};
+use crate::memory::{buffer_base, synthetic_read, TraceBuffer, TRACE_MESSAGE_BYTES};
 use crate::stats::ExecutionStats;
 
 /// Register file, flags, and issue-cycle counter of one hardware
@@ -245,9 +245,7 @@ fn exec_send(
         Surface::TraceBuffer => {
             let addr = st.read(instr.srcs[0], 0);
             let data = st.read(instr.srcs[1], 0);
-            // Every trace-buffer message is an uncached round trip to
-            // CPU-visible memory (one line's worth of traffic).
-            stats.trace_bytes += 64;
+            stats.trace_bytes += TRACE_MESSAGE_BYTES;
             match desc.op {
                 SendOp::AtomicAdd => trace.slot_add(addr as usize, data as u64),
                 SendOp::Write => trace.append(addr, data as u64),

@@ -13,6 +13,11 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Bytes of uncached traffic one trace-buffer message moves: every
+/// send to the trace buffer is a round trip of one cache line to
+/// CPU-visible memory, whatever its payload.
+pub const TRACE_MESSAGE_BYTES: u64 = 64;
+
 /// Deterministic value returned by a synthetic global-memory read.
 pub fn synthetic_read(addr: u64) -> u32 {
     let mut v = addr.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -48,7 +48,7 @@ impl InvocationTiming {
 }
 
 /// The CoFluent-style report for one program execution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CofluentReport {
     /// Application name.
     pub app: String,

@@ -1,15 +1,20 @@
 //! The end-to-end workflow of the paper, as one call:
 //!
-//! 1. run the application natively once under CoFluent, capturing a
-//!    **recording** (API order + timings) — the "measured" side,
-//! 2. replay the recording with **GT-Pin attached** to collect
-//!    instruction/block/memory profiles (the 2–10× profiling run),
-//! 3. join the two by launch order into [`AppData`], ready for
-//!    interval division, feature construction, and SimPoint.
+//! 1. run the application once with **GT-Pin attached**, under
+//!    CoFluent's natural schedule: the run yields the **recording**
+//!    (API order), GT-Pin's instruction/block/memory profile, and
+//!    each launch's device counters. Stripping the injected probes'
+//!    fixed contribution from those counters
+//!    ([`RewriteConfig::native_stats`]) and pricing what remains on
+//!    the same timing model gives the *native* timings — the
+//!    "measured" side — without a second execution,
+//! 2. join profile and timings by launch order into [`AppData`],
+//!    ready for interval division, feature construction, and
+//!    SimPoint.
 //!
 //! Validation replays (other trials, frequencies, generations) rerun
-//! step 1 on a differently-configured device and swap the timings
-//! into the existing dataset.
+//! the recording natively on a differently-configured device and
+//! swap the timings into the existing dataset.
 
 use gpu_device::{Gpu, GpuConfig};
 use gtpin_core::{GtPin, ProgramProfile, RewriteConfig};
@@ -26,6 +31,13 @@ pub enum PipelineError {
     Run(RunError),
     /// Profile and timing data did not line up.
     Merge(MergeError),
+    /// A launch's instrumented counters did not invert to native
+    /// ones (the device and the rewriter disagree on what the probes
+    /// cost).
+    NativeStats {
+        /// The launch whose counters failed to invert.
+        launch: u32,
+    },
 }
 
 impl std::fmt::Display for PipelineError {
@@ -33,6 +45,10 @@ impl std::fmt::Display for PipelineError {
         match self {
             PipelineError::Run(e) => write!(f, "run failed: {e}"),
             PipelineError::Merge(e) => write!(f, "merge failed: {e}"),
+            PipelineError::NativeStats { launch } => write!(
+                f,
+                "launch {launch}: instrumented counters do not invert to native ones"
+            ),
         }
     }
 }
@@ -51,7 +67,7 @@ impl From<MergeError> for PipelineError {
     }
 }
 
-/// Everything the one-time native profiling pass produces.
+/// Everything the one-time profiling pass produces.
 #[derive(Debug)]
 pub struct ProfiledApp {
     /// The CoFluent recording (replayable on any device config).
@@ -60,19 +76,23 @@ pub struct ProfiledApp {
     pub data: AppData,
     /// The raw GT-Pin profile (characterization uses this).
     pub profile: ProgramProfile,
-    /// The raw CoFluent report of the native (timing) run.
+    /// The CoFluent report of the profiling pass, with each
+    /// invocation's `seconds` the *native* timing: the launch's
+    /// counters less the injected probes, priced by the device's
+    /// timing model — bit-identical to a separate uninstrumented run.
     pub cofluent: CofluentReport,
 }
 
-/// Profile an application once: capture + instrumented replay +
-/// join.
+/// Profile an application with one instrumented execution: capture
+/// the recording and GT-Pin's profile together, derive native
+/// timings from the device counters, and join.
 ///
 /// `capture_seed` is the natural API ordering of the first trial;
 /// the GPU config's `trial_seed` drives timing noise.
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] when any run fails or the data cannot
+/// Returns [`PipelineError`] when the run fails or the data cannot
 /// be joined.
 pub fn profile_app(
     program: &HostProgram,
@@ -84,23 +104,28 @@ pub fn profile_app(
         span.arg_str("app", program.name.clone());
     }
 
-    // 1. Native run with CoFluent recording: measured timings.
-    let mut native = OclRuntime::new(Gpu::new(gpu_config));
-    let (recording, native_report) = Recording::capture(&mut native, program, capture_seed)?;
-
-    // 2. Instrumented replay: GT-Pin counts (timing perturbed by the
-    //    2–10× overhead, so timings are taken from the native run).
-    let instrumented_span = gtpin_obs::span("selection.instrumented_replay");
+    let rewrite = RewriteConfig::default();
     let mut gpu = Gpu::new(gpu_config);
-    let gtpin = GtPin::new(RewriteConfig::default());
+    let gtpin = GtPin::new(rewrite);
     gtpin.attach(&mut gpu);
-    let mut instrumented = OclRuntime::new(gpu);
-    recording.replay(&mut instrumented)?;
+    let mut runtime = OclRuntime::new(gpu);
+    let (recording, report) = Recording::capture(&mut runtime, program, capture_seed)?;
     let profile = gtpin.profile(&program.name);
-    drop(instrumented_span);
 
-    // 3. Join by launch order.
-    let data = AppData::merge(&profile, &native_report.cofluent)?;
+    // The run timed itself with the probes' cost included; re-price
+    // each launch on its native counters.
+    let gpu = runtime.device();
+    let mut cofluent = report.cofluent;
+    for (inv, launch) in cofluent.invocations.iter_mut().zip(gpu.launches()) {
+        let native = rewrite
+            .native_stats(&launch.stats)
+            .ok_or(PipelineError::NativeStats {
+                launch: launch.launch_index,
+            })?;
+        inv.seconds = gpu.timing().launch_seconds(&native, launch.launch_index);
+    }
+
+    let data = AppData::merge(&profile, &cofluent)?;
     if span.active() {
         span.arg_u64("invocations", data.invocations.len() as u64);
     }
@@ -108,7 +133,7 @@ pub fn profile_app(
         recording,
         data,
         profile,
-        cofluent: native_report.cofluent,
+        cofluent,
     })
 }
 

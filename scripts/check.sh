@@ -62,7 +62,7 @@ grep -q "stats digest: $SIM_DIGEST" "$SIM_DIR/serial.txt" || {
 echo "4-worker stats digest is byte-identical to serial and matches pinned $SIM_DIGEST"
 
 echo "== explore gate: three-app sweep at GTPIN_THREADS 1 and 2, diffed, output hash pinned"
-# Capture, instrumented replay, interval building and SimPoint all
+# The instrumented profiling pass, interval building and SimPoint all
 # feed this report, so its hash pins the profile -> select path end
 # to end. Re-pin only after reviewing what changed.
 EXPLORE_SHA256=4b7fc39adc52f228f5455ce1850e4d656c3de6ff9a062be80fc07a679d14e185
@@ -85,6 +85,22 @@ EXPLORE_GOT="$(sha256sum < "$EXPLORE_DIR/t1.txt" | cut -d' ' -f1)"
     exit 1
 }
 echo "explore report is identical at 1 and 2 threads and matches pinned $EXPLORE_SHA256"
+# Profiling executes each app once: one instrumented capture yields
+# the recording, the GT-Pin profile and (from the device counters less
+# the probes) the native timings, so no replay may appear.
+OBS_REPORT="$(./target/release/gtpin obs-report sandra-crypt-aes128 2>/dev/null)"
+CAPTURES="$(echo "$OBS_REPORT" | awk '$1 == "cofluent.capture" { print $2 }')"
+[ "$CAPTURES" = "1" ] || {
+    echo "$OBS_REPORT"
+    echo "FAIL: obs-report shows ${CAPTURES:-no} cofluent.capture span(s), expected exactly 1"
+    exit 1
+}
+if echo "$OBS_REPORT" | grep -Eq '^(cofluent\.replay|selection\.instrumented_replay) '; then
+    echo "$OBS_REPORT"
+    echo "FAIL: profiling replayed the app; it must run one functional execution"
+    exit 1
+fi
+echo "profiling runs one capture and no replay"
 
 echo "== telemetry smoke: tier-1 tests under GTPIN_OBS=1"
 # Absolute dir: test binaries run with per-crate working directories.
@@ -270,7 +286,12 @@ echo "== chaos gate: fixed seeds, digest pinned, 1 vs 4 threads diffed, kill/res
 # digest folds every stage digest plus fault accounting, so it pins
 # scenario derivation, fault injection, recovery, and the oracles all
 # at once. Re-pin only after reviewing what changed.
-CHAOS_DIGEST=0x21c5752636e97fa7
+# Re-pinned from 0x21c5752636e97fa7 when profiling became one
+# instrumented pass: only scenario 0x002c moved. Its profile stage
+# used to count trace.shard_overflow injections in the native capture
+# too (a pass with no trace records to overflow), so the count halved
+# (10954 -> 5477) while the stage's data digest stayed identical.
+CHAOS_DIGEST=0x0688802f85f08e77
 CHAOS_DIR="$(pwd)/target/chaos-check"
 rm -rf "$CHAOS_DIR"
 mkdir -p "$CHAOS_DIR"
